@@ -25,9 +25,6 @@ int main(int argc, char** argv) {
       sim::parallel_sweep(betas, [&](std::size_t beta) {
         core::RouterConfig config =
             bench::figure_config(16, args.packets_per_lc);
-        config.engine = args.engine;
-        config.execution = args.execution;
-        config.threads = args.threads;
         config.cache.blocks = beta;
         config.cache.remote_fraction = beta == 1024 ? 0.25 : 0.50;
         core::RouterSim router(bench::rt2(), config);

@@ -27,9 +27,6 @@ int main(int argc, char** argv) {
       sim::parallel_sweep(psis, [&](int psi) {
         core::RouterConfig config =
             bench::figure_config(psi, args.packets_per_lc);
-        config.engine = args.engine;
-        config.execution = args.execution;
-        config.threads = args.threads;
         config.cache.blocks = 4096;
         config.cache.remote_fraction = 0.50;
         core::RouterSim router(bench::rt2(), config);

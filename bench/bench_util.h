@@ -31,14 +31,6 @@ namespace spal::bench {
 struct BenchArgs {
   std::size_t packets_per_lc = 100'000;
   bool full = false;
-  // Event-engine override (--engine=heap|calendar|sharded) for A/B
-  // wall-clock runs; results are bit-identical either way. `sharded` keeps
-  // the calendar queue per shard and turns on the parallel execution mode;
-  // --threads=N caps its worker count (0 = hardware concurrency).
-  sim::EngineKind engine = sim::EngineKind::kCalendar;
-  core::RouterConfig::ExecutionMode execution =
-      core::RouterConfig::ExecutionMode::kSequential;
-  int threads = 0;
   bool json = false;        ///< --json[=path]: emit the JSON report
   std::string json_path;    ///< empty = stdout
   /// --batch=N: LPM lookup batch width for the host-side measurements
@@ -207,25 +199,6 @@ struct BenchArgs {
         args.inject_staleness = true;
       } else if (std::strcmp(arg, "--verify") == 0) {
         args.verify = true;
-      } else if (std::strcmp(arg, "--engine=heap") == 0) {
-        args.engine = sim::EngineKind::kHeap;
-      } else if (std::strcmp(arg, "--engine=calendar") == 0) {
-        args.engine = sim::EngineKind::kCalendar;
-      } else if (std::strcmp(arg, "--engine=sharded") == 0) {
-        args.execution = core::RouterConfig::ExecutionMode::kSharded;
-      } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-        std::fprintf(stderr,
-                     "--engine expects heap, calendar, or sharded, got '%s'\n",
-                     arg + 9);
-        usage_error(nullptr);
-      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        const std::size_t threads = parse_count(arg + 10, "--threads");
-        if (threads > 4096) {
-          std::fprintf(stderr, "--threads expects at most 4096, got '%s'\n",
-                       arg + 10);
-          usage_error(nullptr);
-        }
-        args.threads = static_cast<int>(threads);
       } else if (std::strcmp(arg, "--json") == 0) {
         args.json = true;
       } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -252,7 +225,6 @@ struct BenchArgs {
                  "[--balance=count|traffic] [--rebalance-window=N] "
                  "[--inject-staleness] "
                  "[--simd=generic|sse42|avx2|auto] [--verify] "
-                 "[--engine=heap|calendar|sharded] [--threads=N] "
                  "[--json[=path]]\n");
     std::exit(2);
   }

@@ -4,11 +4,15 @@
 //
 // Usage:
 //   spal_cli [--psi=N] [--beta=BLOCKS] [--gamma=PCT] [--rate=GBPS]
-//            [--fe-cycles=N] [--fe-parallel=N] [--trie=lulea|dp|lc|binary|gupta]
+//            [--fe-cycles=N] [--fe-parallel=N]
+//            [--trie=lulea|dp|lc|binary|gupta|stride]
 //            [--trace=D_75|D_81|L_92-0|L_92-1|B_L] [--packets=N]
 //            [--table-size=N] [--seed=N] [--no-partition] [--no-cache]
 //            [--update-interval=CYCLES] [--selective-invalidate] [--verify]
 //            [--ipv6] [--json]
+//
+// Unknown flags and malformed values (non-numeric or out-of-range numbers,
+// unknown trie or trace names) print a message and exit 2.
 //
 // With --json, the full RouterResult (per-LC cache/FE/fabric/latency
 // metrics — schema in DESIGN.md) is printed as one JSON object after the
@@ -16,9 +20,15 @@
 //
 // Example:
 //   spal_cli --psi=12 --beta=2048 --gamma=25 --trace=L_92-0 --verify
-#include <cstring>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "core/spal.h"
@@ -27,31 +37,87 @@ using namespace spal;
 
 namespace {
 
-std::optional<std::string> arg_value(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << "spal_cli: " << message
+            << "\n(see the header of examples/spal_cli.cpp for usage)\n";
+  std::exit(2);
+}
+
+const std::set<std::string> kValueFlags = {
+    "--psi", "--beta", "--gamma", "--rate", "--fe-cycles", "--fe-parallel",
+    "--trie", "--trace", "--packets", "--table-size", "--seed",
+    "--update-interval"};
+const std::set<std::string> kSwitches = {
+    "--no-partition", "--no-cache", "--selective-invalidate", "--verify",
+    "--ipv6", "--json", "--help", "-h"};
+
+/// The command line as --name=value flags and bare switches. Unknown flags,
+/// a switch given a value, and a valued flag given none all exit 2.
+class Args {
+ public:
+  Args(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      if (eq == std::string::npos && kSwitches.count(name) != 0) {
+        switches_.insert(name);
+      } else if (eq != std::string::npos && kValueFlags.count(name) != 0) {
+        values_[name] = arg.substr(eq + 1);
+      } else if (kValueFlags.count(name) != 0) {
+        usage_error(name + " expects " + name + "=VALUE");
+      } else if (kSwitches.count(name) != 0) {
+        usage_error(name + " takes no value");
+      } else {
+        usage_error("unknown flag '" + arg + "'");
+      }
     }
   }
-  return std::nullopt;
-}
 
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
+  std::optional<std::string> value(const std::string& name) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return std::nullopt;
+    return it->second;
   }
-  return false;
+  bool has(const std::string& name) const { return switches_.count(name) != 0; }
+
+ private:
+  std::map<std::string, std::string> values_;
+  std::set<std::string> switches_;
+};
+
+/// A whole decimal integer >= `min`; anything else exits 2.
+std::uint64_t parse_uint(const std::string& flag, const std::string& text,
+                         std::uint64_t min = 0) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || text[0] == '-' || *end != '\0' || errno != 0 ||
+      value < min) {
+    usage_error(flag + " expects an integer >= " + std::to_string(min) +
+                ", got '" + text + "'");
+  }
+  return value;
 }
 
-std::optional<trie::TrieKind> parse_trie(const std::string& name) {
-  if (name == "binary") return trie::TrieKind::kBinary;
-  if (name == "dp") return trie::TrieKind::kDp;
-  if (name == "lulea") return trie::TrieKind::kLulea;
-  if (name == "lc") return trie::TrieKind::kLc;
-  if (name == "gupta") return trie::TrieKind::kGupta;
-  if (name == "stride") return trie::TrieKind::kStride;
-  return std::nullopt;
+int parse_int(const std::string& flag, const std::string& text, int min) {
+  const std::uint64_t value =
+      parse_uint(flag, text, static_cast<std::uint64_t>(min));
+  if (value > static_cast<std::uint64_t>(INT_MAX)) {
+    usage_error(flag + " is out of range, got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
+
+/// A finite decimal number; anything else exits 2.
+double parse_number(const std::string& flag, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno != 0 || !std::isfinite(value)) {
+    usage_error(flag + " expects a number, got '" + text + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -102,50 +168,53 @@ void print_report(const core::RouterResult& result, int psi, bool use_cache,
 }
 
 int main(int argc, char** argv) {
-  if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h")) {
+  const Args args(argc, argv);
+  if (args.has("--help") || args.has("-h")) {
     std::cout << "see the header of examples/spal_cli.cpp for usage\n";
     return 0;
   }
 
-  const int psi = std::stoi(arg_value(argc, argv, "--psi").value_or("16"));
+  const int psi = parse_int("--psi", args.value("--psi").value_or("16"), 1);
   core::RouterConfig config = core::spal_default_config(psi);
   config.cache.blocks = static_cast<std::size_t>(
-      std::stoll(arg_value(argc, argv, "--beta").value_or("4096")));
-  config.cache.remote_fraction =
-      std::stod(arg_value(argc, argv, "--gamma").value_or("50")) / 100.0;
-  config.line_rate_gbps = std::stod(arg_value(argc, argv, "--rate").value_or("40"));
+      parse_uint("--beta", args.value("--beta").value_or("4096"), 1));
+  const double gamma =
+      parse_number("--gamma", args.value("--gamma").value_or("50"));
+  if (gamma < 0.0 || gamma > 100.0) {
+    usage_error("--gamma expects a percentage in [0, 100]");
+  }
+  config.cache.remote_fraction = gamma / 100.0;
+  config.line_rate_gbps =
+      parse_number("--rate", args.value("--rate").value_or("40"));
+  if (config.line_rate_gbps <= 0.0) usage_error("--rate expects a positive Gbps");
   config.fe_service_cycles =
-      std::stoi(arg_value(argc, argv, "--fe-cycles").value_or("40"));
+      parse_int("--fe-cycles", args.value("--fe-cycles").value_or("40"), 1);
   config.fe_parallelism =
-      std::stoi(arg_value(argc, argv, "--fe-parallel").value_or("1"));
+      parse_int("--fe-parallel", args.value("--fe-parallel").value_or("1"), 1);
   config.packets_per_lc = static_cast<std::size_t>(
-      std::stoll(arg_value(argc, argv, "--packets").value_or("100000")));
-  config.seed = static_cast<std::uint64_t>(
-      std::stoll(arg_value(argc, argv, "--seed").value_or("42")));
-  config.partition = !has_flag(argc, argv, "--no-partition");
-  config.use_lr_cache = !has_flag(argc, argv, "--no-cache");
-  config.flush_interval_cycles = static_cast<std::uint64_t>(
-      std::stoll(arg_value(argc, argv, "--update-interval").value_or("0")));
-  if (has_flag(argc, argv, "--selective-invalidate")) {
+      parse_uint("--packets", args.value("--packets").value_or("100000"), 1));
+  config.seed = parse_uint("--seed", args.value("--seed").value_or("42"));
+  config.partition = !args.has("--no-partition");
+  config.use_lr_cache = !args.has("--no-cache");
+  config.flush_interval_cycles = parse_uint(
+      "--update-interval", args.value("--update-interval").value_or("0"));
+  if (args.has("--selective-invalidate")) {
     config.update_policy = core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;
   }
-  if (const auto name = arg_value(argc, argv, "--trie")) {
-    const auto kind = parse_trie(*name);
-    if (!kind) {
-      std::cerr << "unknown trie '" << *name << "'\n";
-      return 1;
-    }
+  if (const auto name = args.value("--trie")) {
+    const auto kind = trie::trie_kind_from_string(*name);
+    if (!kind) usage_error("unknown trie '" + *name + "'");
     config.trie = *kind;
   }
 
-  const std::size_t table_size = static_cast<std::size_t>(
-      std::stoll(arg_value(argc, argv, "--table-size").value_or("140838")));
-  const bool ipv6 = has_flag(argc, argv, "--ipv6");
-  const bool verify = has_flag(argc, argv, "--verify");
-  const bool json = has_flag(argc, argv, "--json");
+  const std::size_t table_size = static_cast<std::size_t>(parse_uint(
+      "--table-size", args.value("--table-size").value_or("140838"), 1));
+  const bool ipv6 = args.has("--ipv6");
+  const bool verify = args.has("--verify");
+  const bool json = args.has("--json");
 
   trace::WorkloadProfile profile = trace::profile_d75();
-  if (const auto name = arg_value(argc, argv, "--trace")) {
+  if (const auto name = args.value("--trace")) {
     bool found = false;
     for (const auto& p : trace::all_profiles()) {
       if (p.name == *name) {
@@ -153,10 +222,7 @@ int main(int argc, char** argv) {
         found = true;
       }
     }
-    if (!found) {
-      std::cerr << "unknown trace '" << *name << "'\n";
-      return 1;
-    }
+    if (!found) usage_error("unknown trace '" + *name + "'");
   }
 
   if (ipv6) {

@@ -35,82 +35,25 @@
 //     static void fe_remove(Fe&, const PrefixT&);
 //   };
 //
-// Execution model — sharded conservative-parallel DES.
-//
-// The LCs are split into contiguous shards; each shard owns the event
-// queue, waiting lists, pending-request table, caches, FEs, and fabric
-// ports of its LCs, and one worker thread runs each shard's loop. Fabric
-// messages are the only cross-shard traffic. A send happens in two fabric
-// phases: the *egress* phase runs at the source shard (which owns the
-// source port's serialization state and fault RNG) and yields a raw arrival
-// time >= now + D where D = Fabric::min_lookahead(); the message is then
-// staged, locally or through a bounded SPSC ring to the destination shard,
-// and the *ingress commit* phase (destination-port serialization) runs at
-// the destination shard when the message is pulled out of staging.
-//
-// Correctness rests on the frontier/lookahead protocol:
-//
-//   * Each shard publishes a frontier F_i (release store): a lower bound on
-//     the injection time of anything it will ever send again. Handlers run
-//     at times >= the published value, and every egress at time t yields
-//     raw arrival >= t + D, so a peer that has read F_i can safely process
-//     all events strictly below F_i + D.
-//   * A shard's safe horizon is S = min over peers of F_j + D. Each
-//     iteration it (1) reads peer frontiers (acquire), (2) drains its
-//     inbound rings, (3) computes its next local work time, (4) publishes
-//     min(next work, S), then processes events strictly below S. The
-//     read-frontiers-THEN-drain order is load-bearing: the acquire read
-//     synchronizes with the sender's publish, so any message still
-//     undrained after step (2) was sent after that publish and carries
-//     raw >= F_j_read + D >= S. Nothing below S can still be in flight.
-//   * Within a window the shard republishes its next pop time before each
-//     dispatch, so sends made *during* a handler at time t are covered
-//     (raw >= t + D >= published + D).
-//   * Idle shards publish their safe horizon (never "infinity"), which
-//     ratchets peer horizons forward by D per round and guarantees global
-//     progress; termination uses a central veto barrier (TerminationGate)
-//     that re-checks queues and rings after all shards report idle. Shards
-//     parked in the barrier keep processing raced-in work below their safe
-//     horizon from the poll callback — merely holding it would pin their
-//     frontier and deadlock a busy peer whose next event sits at
-//     frontier + D (the peer then never idles, never joins the barrier).
-//     Poll-side processing before the shard's own recheck additionally
-//     vetoes the round via a raced_work flag: a handler can send
-//     cross-shard yet leave no local trace, so queue/staging emptiness at
-//     recheck time alone would let the gate drop the in-flight message.
-//   * The D-per-round ratchet alone is pathological when events are sparse
-//     (e.g. live updates spaced thousands of cycles apart on one shard):
-//     idle shards bound each other and creep toward the next event in
-//     O(gap/D) rounds. A Mattern-style flux-consistent jump fixes this:
-//     every shard also publishes its *uncapped* next local event time
-//     (local_next), and global counters track messages sent to / drained
-//     from the SPSC rings. A stalled shard that observes sent == drained,
-//     scans all local_next values, and re-reads sent unchanged has a
-//     consistent snapshot with no message in flight; the scan minimum T is
-//     then a true bound on the next action anywhere, every future arrival
-//     is >= T + D, and the shard may adopt T + D as its safe horizon
-//     directly — leaping the stale-frontier chain in one round. (Drains
-//     lower local_next *before* bumping the drained counter, so a scan
-//     that sees the count also sees the lowered minimum.)
-//
-// Determinism: messages are committed at the destination in a canonical
-// order — a min-heap on (raw arrival, origin LC, per-origin sequence) —
-// and committed *before* any queue event at the same or later time. The
-// sequential engine (execution = kSequential, or any configuration the
-// sharded engine does not support — see planned_shards()) is exactly this
-// machinery run solo on a single all-LC shard, so RouterResult::to_json()
-// is byte-identical between the two engines for every configuration.
+// Execution model. One calendar queue drives every LC's events on the
+// calling thread. A fabric send happens in two phases: the *egress* phase
+// (source-port serialization, traversal, fault draws) runs when the handler
+// sends and yields a raw arrival time at the destination port; the message
+// then waits in an in-flight min-heap keyed (raw arrival, origin LC,
+// per-origin send sequence), and its *ingress commit* (destination-port
+// serialization) runs when it leaves the heap. A message commits before any
+// queue event at the same or a later time, so each destination port sees
+// its arrivals in that canonical order — which fixes the port's ingress
+// timing independently of which handler happened to send first.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -123,10 +66,7 @@
 #include "net/update_stream.h"
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
-#include "sim/engine.h"
 #include "sim/packet_source.h"
-#include "sim/shard_sync.h"
-#include "sim/spsc_ring.h"
 
 namespace spal::core {
 
@@ -347,17 +287,14 @@ class BasicRouterSim {
     }
     if ((verify_ || faults_active()) && oracle_ == nullptr) {
       // Verify mode reads it per packet; fault mode's degraded slow path
-      // may need it at any shard. Building it eagerly here (instead of
-      // lazily on the first degraded fallback) keeps the handlers free of
-      // shared-state construction.
+      // falls back to it.
       oracle_ = std::make_unique<typename Family::Oracle>(
           Family::build_oracle(full_table_));
     }
     updates_.clear();
     update_inject_time_.clear();
     update_settle_time_.clear();
-    update_outstanding_.reset();
-    update_settle_max_.reset();
+    update_outstanding_.clear();
     if (live_updates && update_count > 0) {
       net::UpdateStreamConfig stream_config;
       stream_config.count = update_count;
@@ -368,11 +305,7 @@ class BasicRouterSim {
       updates_ = Family::make_updates(full_table_, stream_config);
       update_inject_time_.resize(updates_.size());
       update_settle_time_.assign(updates_.size(), kSettlePending);
-      // make_unique<T[]> value-initializes: counters start at zero.
-      update_outstanding_ =
-          std::make_unique<std::atomic<std::uint32_t>[]>(updates_.size());
-      update_settle_max_ =
-          std::make_unique<std::atomic<std::uint64_t>[]>(updates_.size());
+      update_outstanding_.assign(updates_.size(), 0);
       if (lc_tables_.empty()) {
         lc_tables_.reserve(static_cast<std::size_t>(config_.num_lcs));
         for (int lc = 0; lc < config_.num_lcs; ++lc) {
@@ -382,8 +315,7 @@ class BasicRouterSim {
       }
     }
     // The run ahead will mutate FEs/fragments (every injected update is
-    // applied) and the oracle if present; flag them for the next run now so
-    // the handlers never touch the flags from worker threads.
+    // applied) and the oracle if present; flag them for the next run.
     fes_dirty_ = !updates_.empty();
     copies_dirty_ = !updates_.empty() && replication_active();
     oracle_dirty_ = !updates_.empty() && oracle_ != nullptr;
@@ -395,74 +327,43 @@ class BasicRouterSim {
     destinations_.clear();
     destinations_.reserve(total_packets);
 
-    // Build the shards and scatter the initial schedule. Event insertion
-    // order per shard matches the sequential engine's insertion order
-    // restricted to that shard (updates first, then arrivals LC-major), so
-    // equal-time tie-breaks agree between the engines.
-    shard_count_ = planned_shards(verify);
-    lookahead_ = fabric_->min_lookahead();
-    msgs_sent_.store(0, std::memory_order_relaxed);
-    msgs_drained_.store(0, std::memory_order_relaxed);
-    shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(shard_count_));
-    for (int s = 0; s < shard_count_; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-      Shard& sh = *shards_.back();
-      sh.index = s;
-      if (shard_count_ > 1) {
-        sh.inbound.resize(static_cast<std::size_t>(shard_count_));
-        for (int src = 0; src < shard_count_; ++src) {
-          if (src == s) continue;
-          sh.inbound[static_cast<std::size_t>(src)] =
-              std::make_unique<sim::SpscRing<StagedMsg>>(kRingCapacity);
-        }
-      }
-    }
-    {
-      std::vector<std::size_t> expected(static_cast<std::size_t>(shard_count_),
-                                        0);
-      for (int lc = 0; lc < config_.num_lcs; ++lc) {
-        expected[static_cast<std::size_t>(shard_of_lc(lc))] +=
-            streams[static_cast<std::size_t>(lc)].size();
-      }
-      expected[static_cast<std::size_t>(shard_of_lc(0))] += update_count;
-      for (int s = 0; s < shard_count_; ++s) {
-        shards_[static_cast<std::size_t>(s)]->queue.reset(
-            config_.engine, expected[static_cast<std::size_t>(s)], horizon);
-      }
-    }
+    // Scatter the initial schedule. The insertion order — updates, the
+    // migration start, arrivals LC by LC, rebalancer ticks — breaks
+    // equal-time ties, so it is part of the result.
+    queue_ = sim::CalendarQueue<Event>{};
+    queue_.reserve(total_packets + update_count, horizon);
+    inflight_.clear();
+    waiting_.clear();
+    pending_.clear();
+    memory_counters_ = MemoryCounters{};
     for (std::size_t i = 0; i < updates_.size(); ++i) {
       const std::uint64_t at =
           (static_cast<std::uint64_t>(i) + 1) * config_.update.interval_cycles;
       update_inject_time_[i] = at;
-      shard_for_lc(0).queue.schedule(
+      queue_.schedule(
           at, Event{Event::Type::kUpdateInject, 0, Addr{},
                     Requester{0, static_cast<std::int64_t>(i), false}, false,
                     net::kNoRoute});
     }
     if (config_.migration.enabled) {
-      // Local management-plane event at `from` (forces the solo engine, so
-      // shard_for_lc is the only shard): snapshot and start streaming.
-      shard_for_lc(config_.migration.from)
-          .queue.schedule(config_.migration.start_cycle,
-                          Event{Event::Type::kMigrateStart,
-                                config_.migration.from, Addr{},
-                                Requester{config_.migration.from, -1, false},
-                                false, net::kNoRoute});
+      // Local management-plane event at `from`: snapshot and start
+      // streaming.
+      queue_.schedule(config_.migration.start_cycle,
+                      Event{Event::Type::kMigrateStart, config_.migration.from,
+                            Addr{}, Requester{config_.migration.from, -1, false},
+                            false, net::kNoRoute});
     }
     std::int64_t packet_id = 0;
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
       const auto& stream = streams[static_cast<std::size_t>(lc)];
       const auto& arrivals = arrivals_per_lc[static_cast<std::size_t>(lc)];
-      Shard& sh = shard_for_lc(lc);
       for (std::size_t i = 0; i < stream.size(); ++i) {
         arrival_time_[static_cast<std::size_t>(packet_id)] = arrivals[i];
         arrival_lc_[static_cast<std::size_t>(packet_id)] = lc;
         destinations_.push_back(stream[i]);
-        sh.queue.schedule(arrivals[i],
-                          Event{Event::Type::kLookup, lc, stream[i],
-                                Requester{lc, packet_id, false}, false,
-                                net::kNoRoute});
+        queue_.schedule(arrivals[i], Event{Event::Type::kLookup, lc, stream[i],
+                                           Requester{lc, packet_id, false},
+                                           false, net::kNoRoute});
         ++packet_id;
       }
     }
@@ -486,86 +387,15 @@ class BasicRouterSim {
       // Finite tick schedule (one per window, management plane at LC 0):
       // a self-rescheduling tick would never let the event queue drain.
       for (std::size_t w = 0; w < windows; ++w) {
-        shard_for_lc(0).queue.schedule(
+        queue_.schedule(
             (static_cast<std::uint64_t>(w) + 1) * win,
             Event{Event::Type::kRebalanceTick, 0, Addr{},
                   Requester{0, -1, false}, false, net::kNoRoute});
       }
     }
 
-    if (shard_count_ == 1) {
-      run_solo(*shards_.front());
-    } else {
-      run_sharded();
-    }
+    run_events();
 
-    // Aggregate per-shard and per-LC statistics. The shard loop runs in
-    // index order and the latency merge in LC order in both engines, so the
-    // aggregation itself cannot introduce a divergence.
-    for (const auto& shp : shards_) {
-      const ShardCounters& c = shp->c;
-      result_.makespan_cycles = std::max(result_.makespan_cycles, c.makespan);
-      result_.fe_lookups += c.fe_lookups;
-      result_.remote_requests += c.remote_requests;
-      result_.remote_replies += c.remote_replies;
-      result_.resolved_packets += c.resolved_packets;
-      result_.verify_mismatches += c.verify_mismatches;
-      result_.updates_applied += c.updates_applied;
-      result_.blocks_invalidated += c.blocks_invalidated;
-      result_.fault.timeouts += c.timeouts;
-      result_.fault.retransmits += c.retransmits;
-      result_.fault.duplicate_replies += c.duplicate_replies;
-      result_.fault.degraded_fallbacks += c.degraded_fallbacks;
-      result_.fault.degraded_lookups += c.degraded_lookups;
-      result_.fault.reclaimed_waiting_blocks += c.reclaimed_waiting_blocks;
-      result_.update.applied += c.update.applied;
-      result_.update.announces += c.update.announces;
-      result_.update.withdraws += c.update.withdraws;
-      result_.update.hop_changes += c.update.hop_changes;
-      result_.update.applications += c.update.applications;
-      result_.update.fe_incremental += c.update.fe_incremental;
-      result_.update.fe_rebuilds += c.update.fe_rebuilds;
-      result_.update.update_cost_cycles += c.update.update_cost_cycles;
-      result_.update.update_messages += c.update.update_messages;
-      result_.update.invalidation_messages += c.update.invalidation_messages;
-      result_.update.blocks_invalidated += c.update.blocks_invalidated;
-      result_.update.cache_flushes += c.update.cache_flushes;
-      FailoverStats& fo = result_.failover;
-      fo.rerouted_requests += c.fo.rerouted_requests;
-      fo.replica_lookups += c.fo.replica_lookups;
-      fo.local_replica_serves += c.fo.local_replica_serves;
-      fo.probes_sent += c.fo.probes_sent;
-      fo.probe_replies_sent += c.fo.probe_replies_sent;
-      fo.probe_replies += c.fo.probe_replies;
-      fo.suspect_transitions += c.fo.suspect_transitions;
-      fo.down_transitions += c.fo.down_transitions;
-      fo.recoveries += c.fo.recoveries;
-      fo.rejoins += c.fo.rejoins;
-      fo.missed_updates += c.fo.missed_updates;
-      fo.replica_update_applications += c.fo.replica_update_applications;
-      fo.acting_primary_applications += c.fo.acting_primary_applications;
-      fo.resync_fetches += c.fo.resync_fetches;
-      fo.resync_chunks += c.fo.resync_chunks;
-      fo.resync_entries += c.fo.resync_entries;
-      fo.resync_cutovers += c.fo.resync_cutovers;
-      fo.migrations += c.fo.migrations;
-      fo.migration_chunks += c.fo.migration_chunks;
-      fo.snapshot_prefixes += c.fo.snapshot_prefixes;
-      fo.double_delivered_updates += c.fo.double_delivered_updates;
-      fo.cutover_messages += c.fo.cutover_messages;
-      fo.migration_invalidated_blocks += c.fo.migration_invalidated_blocks;
-      fo.cutovers += c.fo.cutovers;
-      fo.control_messages += c.fo.control_messages;
-      RebalancerStats& rb = result_.rebalancer;
-      rb.windows += c.rb.windows;
-      rb.skew_detections += c.rb.skew_detections;
-      rb.migrations_triggered += c.rb.migrations_triggered;
-      rb.skipped_in_flight += c.rb.skipped_in_flight;
-      rb.skipped_no_target += c.rb.skipped_no_target;
-      rb.skipped_budget += c.rb.skipped_budget;
-      rb.completed_migrations += c.rb.completed_migrations;
-      rb.aborted_migrations += c.rb.aborted_migrations;
-    }
     result_.failover.enabled = failover_enabled();
     result_.rebalancer.enabled = config_.rebalancer.enabled;
     if (config_.memory.enabled) {
@@ -581,14 +411,12 @@ class BasicRouterSim {
         stats.access_cycles = tier.access_cycles;
         mem.tiers.push_back(std::move(stats));
       }
-      for (const auto& shp : shards_) {
-        const MemoryCounters& c = shp->c.memory;
-        mem.lookups += c.lookups;
-        mem.charged_cycles += c.charged_cycles;
-        for (std::size_t t = 0; t < mem.tiers.size(); ++t) {
-          mem.tiers[t].accesses += c.tier_accesses[t];
-          mem.tiers[t].cycles += c.tier_cycles[t];
-        }
+      const MemoryCounters& c = memory_counters_;
+      mem.lookups = c.lookups;
+      mem.charged_cycles = c.charged_cycles;
+      for (std::size_t t = 0; t < mem.tiers.size(); ++t) {
+        mem.tiers[t].accesses = c.tier_accesses[t];
+        mem.tiers[t].cycles = c.tier_cycles[t];
       }
       mem.matching_cycles =
           mem.lookups *
@@ -637,7 +465,7 @@ class BasicRouterSim {
     }
     // Per-LC latency merges are exact (identical bucket layout), so merging
     // in LC order reproduces the global histogram a direct record() per
-    // packet would have produced — and does so engine-independently.
+    // packet would have produced.
     for (const sim::LatencyStats& lc_latency : result_.per_lc_latency) {
       result_.latency.merge(lc_latency);
     }
@@ -677,32 +505,6 @@ class BasicRouterSim {
   /// The full (unfragmented) routing table the router was built from.
   const Table& table() const { return full_table_; }
 
-  /// How many shards (worker threads) a run(streams, verify) would use.
-  /// kSequential always runs one shard. kSharded silently falls back to one
-  /// shard for configurations the parallel engine does not support:
-  /// periodic cache flushes (flush_interval_cycles touches every LC's cache
-  /// from one event), live fragment migration (router-global re-home map),
-  /// live updates combined with verify or fault injection (both read the
-  /// oracle concurrently with inject-time mutation), and a fabric with zero
-  /// minimum latency (no lookahead, no parallelism).
-  int planned_shards(bool verify = false) const {
-    if (config_.execution != RouterConfig::ExecutionMode::kSharded) return 1;
-    if (config_.flush_interval_cycles != 0) return 1;
-    // Live migration mutates router-global state (the re-home map and the
-    // staged structure) from management-plane events: solo only. The
-    // rebalancer drives the same machinery autonomously.
-    if (config_.migration.enabled || config_.rebalancer.enabled) return 1;
-    const bool live_updates = config_.update.interval_cycles != 0;
-    if (live_updates && (verify || config_.fault.enabled)) return 1;
-    if (fabric_->min_lookahead() < 1) return 1;
-    int threads = config_.threads;
-    if (threads <= 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 1 : static_cast<int>(hw);
-    }
-    return std::max(1, std::min(threads, config_.num_lcs));
-  }
-
   /// Per-LC forwarding-index storage in bytes.
   std::vector<std::size_t> fe_storage_bytes() const {
     std::vector<std::size_t> sizes;
@@ -729,9 +531,6 @@ class BasicRouterSim {
   }
 
  private:
-  static constexpr std::uint64_t kNoTime = ~std::uint64_t{0};
-  static constexpr std::size_t kRingCapacity = 1024;
-
   struct Requester {
     int lc;               ///< LC the requesting packet arrived at
     std::int64_t packet;  ///< global packet id
@@ -816,7 +615,7 @@ class BasicRouterSim {
   /// initiated (config_.migration, fixed endpoints, state persists after the
   /// cutover) or rebalancer-triggered (endpoints chosen per trigger; the
   /// staged structure moves into hosted_ at cutover and the state resets for
-  /// the next trigger). Solo-engine only, so plain members suffice.
+  /// the next trigger).
   struct MigrationState {
     bool active = false;      ///< a transfer has been started
     int frag = -1;            ///< fragment being moved
@@ -852,18 +651,17 @@ class BasicRouterSim {
     std::unique_ptr<MemoryModel> model;
   };
 
-  /// A fabric message after its egress phase, parked until the destination
-  /// shard commits it. Committed in (raw, origin_lc, origin_seq) order —
-  /// origin_seq is a per-source-LC send counter, so the key is unique and
-  /// identical in both engines.
-  struct StagedMsg {
+  /// A fabric message between its egress and ingress phases. Messages
+  /// commit in (raw, origin_lc, origin_seq) order — origin_seq is a
+  /// per-source-LC send counter, so the key is unique.
+  struct InFlightMsg {
     std::uint64_t raw = 0;
     std::uint32_t origin_lc = 0;
     std::uint64_t origin_seq = 0;
     Event event{};
   };
-  struct StagedAfter {
-    bool operator()(const StagedMsg& a, const StagedMsg& b) const {
+  struct InFlightAfter {
+    bool operator()(const InFlightMsg& a, const InFlightMsg& b) const {
       if (a.raw != b.raw) return a.raw > b.raw;
       if (a.origin_lc != b.origin_lc) return a.origin_lc > b.origin_lc;
       return a.origin_seq > b.origin_seq;
@@ -890,401 +688,84 @@ class BasicRouterSim {
 
   using WaitMap = std::unordered_map<WaitKey, std::vector<Requester>, WaitKeyHash>;
 
-  /// Counters a handler may bump from any LC of its shard; summed (max for
-  /// makespan) into RouterResult after the run in shard-index order.
-  struct ShardCounters {
-    std::uint64_t makespan = 0;
-    std::uint64_t fe_lookups = 0;
-    std::uint64_t remote_requests = 0;
-    std::uint64_t remote_replies = 0;
-    std::uint64_t resolved_packets = 0;
-    std::uint64_t verify_mismatches = 0;
-    std::uint64_t updates_applied = 0;
-    std::uint64_t blocks_invalidated = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t duplicate_replies = 0;
-    std::uint64_t degraded_fallbacks = 0;
-    std::uint64_t degraded_lookups = 0;
-    std::uint64_t reclaimed_waiting_blocks = 0;
-    UpdateStats update;
-    MemoryCounters memory;  ///< memory-tier pricing (all zero when off)
-    FailoverStats fo;       ///< failover ledger (all zero when off)
-    RebalancerStats rb;     ///< rebalancer ledger (all zero when off)
-  };
+  // ----- Event loop --------------------------------------------------------
 
-  /// One shard: a contiguous LC range, its event queue, the per-LC maps
-  /// that only its thread touches, and the cross-thread machinery (inbound
-  /// rings, published frontier, idle flag).
-  struct Shard {
-    int index = 0;
-    sim::AnyEventQueue<Event> queue;
-    std::vector<StagedMsg> staging;  // min-heap via StagedAfter
-    WaitMap waiting;
-    std::vector<typename WaitMap::node_type> wait_pool;
-    std::vector<Requester> wait_scratch;
-    std::unordered_map<std::uint64_t, PendingRequest> pending;
-    ShardCounters c;
-    /// inbound[s] carries messages from shard s (null for s == index and in
-    /// solo mode). Producer: shard s's thread; consumer: this shard.
-    std::vector<std::unique_ptr<sim::SpscRing<StagedMsg>>> inbound;
-    /// Lower bound (release-published) on this shard's future injections.
-    alignas(64) std::atomic<std::uint64_t> frontier{0};
-    /// Uncapped min(qnext, snext) — the shard's next local event time,
-    /// kNoTime when it has none. Read by peers' flux-consistent jumps.
-    std::atomic<std::uint64_t> local_next{0};
-    std::atomic<bool> idle{false};
-    std::uint64_t published = 0;  ///< owner's copy of frontier
-  };
-
-  int shard_of_lc(int lc) const {
-    return static_cast<int>(static_cast<std::int64_t>(lc) * shard_count_ /
-                            config_.num_lcs);
-  }
-  Shard& shard_for_lc(int lc) {
-    return *shards_[static_cast<std::size_t>(shard_of_lc(lc))];
+  /// Runs the egress phase at `src` and parks the message in the in-flight
+  /// heap until its ingress commit.
+  void send_reliable(int src, std::uint64_t inject, const Event& event) {
+    push_inflight(src, fabric_->egress(src, inject).raw_arrival, event);
   }
 
-  // ----- Shard engine ------------------------------------------------------
-
-  void check_abort() const {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-      throw sim::ShardAbort{};
-    }
-  }
-
-  void publish_frontier(Shard& sh, std::uint64_t value) {
-    if (value > sh.published) {
-      sh.published = value;
-      sh.frontier.store(value, std::memory_order_release);
-    }
-  }
-
-  /// min over peers of (frontier + lookahead), saturating; kNoTime with no
-  /// peers. Callers must read this BEFORE draining rings (see file comment).
-  std::uint64_t safe_horizon(const Shard& sh) const {
-    std::uint64_t horizon = kNoTime;
-    for (const auto& other : shards_) {
-      if (other->index == sh.index) continue;
-      horizon = std::min(horizon,
-                         other->frontier.load(std::memory_order_acquire));
-    }
-    if (horizon == kNoTime) return kNoTime;
-    const std::uint64_t safe = horizon + lookahead_;
-    return safe < horizon ? kNoTime : safe;
-  }
-
-  static void push_staged(Shard& sh, const StagedMsg& msg) {
-    sh.staging.push_back(msg);
-    std::push_heap(sh.staging.begin(), sh.staging.end(), StagedAfter{});
-  }
-
-  void drain_rings(Shard& sh) {
-    StagedMsg msg;
-    std::uint64_t drained = 0;
-    for (auto& ring : sh.inbound) {
-      if (!ring) continue;
-      while (ring->try_pop(msg)) {
-        push_staged(sh, msg);
-        ++drained;
-      }
-    }
-    if (drained != 0) {
-      // A drain can LOWER this shard's next event time. Publish the new
-      // minimum before acknowledging the drains: a flux-consistent scan
-      // that observes the drained count (acquire) then also observes the
-      // lowered local_next, so it can never jump past these messages.
-      const std::uint64_t qnext =
-          sh.queue.empty() ? kNoTime : sh.queue.next_time();
-      sh.local_next.store(std::min(qnext, sh.staging.front().raw),
-                          std::memory_order_release);
-      msgs_drained_.fetch_add(drained, std::memory_order_release);
-    }
-  }
-
-  /// Flux-consistent global-minimum jump (see the file comment). Returns a
-  /// safe horizon T + D when a consistent no-messages-in-flight snapshot
-  /// exists, 0 when it doesn't (messages in flight — fall back to the
-  /// frontier ratchet) or when the snapshot is globally empty (termination
-  /// is the gate's call, not ours).
-  std::uint64_t gvt_jump(const Shard& sh, std::uint64_t own_cand) const {
-    const std::uint64_t sent = msgs_sent_.load(std::memory_order_acquire);
-    if (msgs_drained_.load(std::memory_order_acquire) != sent) return 0;
-    std::uint64_t t = own_cand;
-    for (const auto& other : shards_) {
-      if (other->index == sh.index) continue;
-      t = std::min(t, other->local_next.load(std::memory_order_acquire));
-    }
-    if (msgs_sent_.load(std::memory_order_acquire) != sent) return 0;
-    if (t == kNoTime) return 0;
-    const std::uint64_t safe = t + lookahead_;
-    return safe < t ? kNoTime : safe;
-  }
-
-  /// Egress already ran at the source; park the message at the destination
-  /// shard. A full ring never deadlocks: while spinning the producer keeps
-  /// draining its own inbound rings, so two shards pushing to each other
-  /// both make progress.
-  void stage_message(Shard& sh, int src, std::uint64_t raw, const Event& event) {
-    const StagedMsg msg{raw, static_cast<std::uint32_t>(src),
-                        send_seq_[static_cast<std::size_t>(src)]++, event};
-    Shard& dst = shard_for_lc(event.lc);
-    if (&dst == &sh) {
-      push_staged(sh, msg);
-      return;
-    }
-    // Count the message in flight BEFORE it becomes poppable, so a
-    // flux-consistent scan can never observe the push without the count.
-    msgs_sent_.fetch_add(1, std::memory_order_acq_rel);
-    sim::SpscRing<StagedMsg>& ring =
-        *dst.inbound[static_cast<std::size_t>(sh.index)];
-    sim::SpinWaiter spin;
-    while (!ring.try_push(msg)) {
-      check_abort();
-      drain_rings(sh);
-      spin.wait();
-    }
-  }
-
-  void send_reliable(Shard& sh, int src, std::uint64_t inject,
-                     const Event& event) {
-    stage_message(sh, src, fabric_->egress(src, inject).raw_arrival, event);
-  }
-
-  bool send_lossy(Shard& sh, int src, int dst, std::uint64_t inject,
-                  const Event& event) {
+  /// send_reliable() through the fabric's loss layer: a lost message never
+  /// enters the in-flight heap.
+  void send_lossy(int src, int dst, std::uint64_t inject, const Event& event) {
     const fabric::Egress out = fabric_->egress_lossy(src, dst, inject);
-    if (!out.delivered) return false;
-    stage_message(sh, src, out.raw_arrival, event);
-    return true;
+    if (out.delivered) push_inflight(src, out.raw_arrival, event);
+  }
+
+  void push_inflight(int src, std::uint64_t raw, const Event& event) {
+    inflight_.push_back(InFlightMsg{raw, static_cast<std::uint32_t>(src),
+                                    send_seq_[static_cast<std::size_t>(src)]++,
+                                    event});
+    std::push_heap(inflight_.begin(), inflight_.end(), InFlightAfter{});
   }
 
   /// Runs the destination-port ingress phase for the canonically-first
-  /// staged message and schedules its event.
-  void commit_front(Shard& sh) {
-    std::pop_heap(sh.staging.begin(), sh.staging.end(), StagedAfter{});
-    const StagedMsg msg = sh.staging.back();
-    sh.staging.pop_back();
-    sh.queue.schedule(fabric_->ingress_commit(msg.event.lc, msg.raw),
-                      msg.event);
+  /// in-flight message and schedules its event.
+  void commit_front() {
+    std::pop_heap(inflight_.begin(), inflight_.end(), InFlightAfter{});
+    const InFlightMsg msg = inflight_.back();
+    inflight_.pop_back();
+    queue_.schedule(fabric_->ingress_commit(msg.event.lc, msg.raw), msg.event);
   }
 
-  /// Commits staged messages and dispatches events, all strictly below
-  /// `limit`, committing before popping on equal times (the canonical
-  /// order). With publish, the next pop time is released before each
-  /// dispatch so sends made during the handler are covered by the
-  /// published frontier. Returns true when anything was committed or
-  /// dispatched — the termination gate's poll uses this to veto a round
-  /// in which it processed raced-in work (see try_terminate).
-  bool process_window(Shard& sh, std::uint64_t limit, bool publish) {
-    bool did_work = false;
-    for (;;) {
-      const std::uint64_t qnext =
-          sh.queue.empty() ? kNoTime : sh.queue.next_time();
-      if (!sh.staging.empty()) {
-        const std::uint64_t snext = sh.staging.front().raw;
-        if (snext < limit && snext <= qnext) {
-          commit_front(sh);
-          did_work = true;
-          continue;
-        }
+  /// Commits in-flight messages and dispatches events until both are
+  /// empty. A message whose raw arrival is at or before the next event's
+  /// time commits first (the canonical order; see the file comment).
+  void run_events() {
+    while (!queue_.empty() || !inflight_.empty()) {
+      if (!inflight_.empty() &&
+          (queue_.empty() || inflight_.front().raw <= queue_.next_time())) {
+        commit_front();
+      } else {
+        dispatch_one();
       }
-      if (qnext >= limit) return did_work;
-      if (publish) publish_frontier(sh, qnext);
-      dispatch_one(sh);
-      did_work = true;
     }
   }
 
-  void dispatch_one(Shard& sh) {
-    auto [now, event] = sh.queue.pop();
+  void dispatch_one() {
+    auto [now, event] = queue_.pop();
     // A timer whose request already settled (reply accepted or degraded)
     // is stale: skip it before it can stretch the measured makespan.
     if (event.type == Event::Type::kTimeout &&
-        sh.pending.find(event.requester.seq) == sh.pending.end()) {
+        pending_.find(event.requester.seq) == pending_.end()) {
       return;
     }
-    // Periodic flush/invalidate touches every LC's cache, so it forces the
-    // solo engine (see planned_shards) and may keep using result_ directly.
     if (config_.flush_interval_cycles != 0) maybe_update_table(now);
-    sh.c.makespan = std::max(sh.c.makespan, now);
+    result_.makespan_cycles = std::max(result_.makespan_cycles, now);
     switch (event.type) {
-      case Event::Type::kLookup: handle_lookup(sh, now, event); break;
-      case Event::Type::kFeComplete: handle_fe_complete(sh, now, event); break;
-      case Event::Type::kReply: handle_reply(sh, now, event); break;
-      case Event::Type::kTimeout: handle_timeout(sh, now, event); break;
-      case Event::Type::kDegraded: handle_degraded(sh, now, event); break;
-      case Event::Type::kUpdateInject: handle_update_inject(sh, now, event); break;
-      case Event::Type::kUpdateApply: handle_update_apply(sh, now, event); break;
-      case Event::Type::kInvalidate: handle_invalidate(sh, now, event); break;
-      case Event::Type::kCopyLookup: handle_copy_lookup(sh, now, event); break;
-      case Event::Type::kProbe: handle_probe(sh, now, event); break;
-      case Event::Type::kProbeReply: handle_probe_reply(sh, now, event); break;
-      case Event::Type::kResyncFetch: handle_resync_fetch(sh, now, event); break;
-      case Event::Type::kResyncSend: handle_resync_send(sh, now, event); break;
-      case Event::Type::kResyncChunk: handle_resync_chunk(sh, now, event); break;
-      case Event::Type::kMigrateStart: handle_migrate_start(sh, now, event); break;
-      case Event::Type::kMigrateSend: handle_migrate_send(sh, now, event); break;
-      case Event::Type::kMigrateChunk: handle_migrate_chunk(sh, now, event); break;
-      case Event::Type::kMigrateDelta: handle_migrate_delta(sh, now, event); break;
-      case Event::Type::kMigrateBuilt: handle_migrate_built(sh, now, event); break;
-      case Event::Type::kMigrateReady: handle_migrate_ready(sh, now, event); break;
-      case Event::Type::kCutover: handle_cutover(sh, now, event); break;
-      case Event::Type::kRebalanceTick:
-        handle_rebalance_tick(sh, now, event);
-        break;
-    }
-  }
-
-  /// Sequential engine: the same staged/canonical machinery on one all-LC
-  /// shard. With limit = kNoTime every staged message commits and every
-  /// event dispatches, and the loop ends only when both are empty.
-  void run_solo(Shard& sh) { process_window(sh, kNoTime, false); }
-
-  bool all_idle() const {
-    for (const auto& s : shards_) {
-      if (!s->idle.load(std::memory_order_acquire)) return false;
-    }
-    return true;
-  }
-
-  bool try_terminate(Shard& sh, sim::TerminationGate& gate,
-                     std::uint64_t& parity) {
-    // Set when a poll below processes raced-in work. Enter-barrier polls
-    // run BEFORE this shard's recheck, and a handler can leave no local
-    // trace (a remote kLookup that hits the home cache only sends a reply;
-    // kUpdateApply only broadcasts invalidations) — so empty queue/staging
-    // at recheck time does not prove this shard was quiet this round. The
-    // flag does, and the recheck vetoes on it.
-    bool raced_work = false;
-    const bool done = gate.round(
-        parity,
-        /*recheck=*/
-        [&] {
-          drain_rings(sh);
-          const bool busy =
-              raced_work || !sh.queue.empty() || !sh.staging.empty();
-          raced_work = false;
-          if (busy) sh.idle.store(false, std::memory_order_relaxed);
-          return busy;
-        },
-        /*poll=*/
-        [&] {
-          check_abort();
-          const std::uint64_t safe = safe_horizon(sh);
-          drain_rings(sh);
-          // Work that races in while parked here must be PROCESSED, not
-          // just held: a held event pins this shard's frontier, and a busy
-          // peer whose next event sits exactly at frontier + D then stalls
-          // forever — it never goes idle, never joins the barrier, and this
-          // shard never leaves it. Processing is termination-safe because
-          // it is never invisible to the gate:
-          //   * Enter-barrier polls (before this shard's recheck) set
-          //     raced_work, so the recheck vetoes even when the handler
-          //     left queue and staging empty.
-          //   * Exit-barrier polls (after the recheck) can only see work
-          //     that was pushed DURING the round — every pre-round push
-          //     happens-before the enter barrier completes and is drained
-          //     by the receiver's recheck. An in-round push comes from some
-          //     shard's enter-poll processing (vetoed via its raced_work)
-          //     or, inductively, from exit-poll processing whose causal
-          //     chain bottoms out in such a veto. So any exit-poll work
-          //     implies the round is already lost, and busy counters are
-          //     final by the time the exit barrier completes.
-          if (process_window(sh, safe, /*publish=*/true)) raced_work = true;
-          const std::uint64_t qnext =
-              sh.queue.empty() ? kNoTime : sh.queue.next_time();
-          const std::uint64_t snext =
-              sh.staging.empty() ? kNoTime : sh.staging.front().raw;
-          sh.local_next.store(std::min(qnext, snext),
-                              std::memory_order_release);
-          publish_frontier(sh, std::min(std::min(qnext, snext), safe));
-        });
-    if (!done) return false;
-    // Belt-and-braces: a clean round implies no in-flight ring messages
-    // (no shard vetoed => no shard sent this round, and every pre-round
-    // send was drained by a recheck that happens-before the exit barrier),
-    // so the flux counters must agree — and, being frozen since before the
-    // round, every shard reads the same values and the verdict stays
-    // unanimous. A mismatch would mean the invariant above is broken;
-    // loop another round rather than drop an event.
-    return msgs_drained_.load(std::memory_order_acquire) ==
-           msgs_sent_.load(std::memory_order_acquire);
-  }
-
-  /// One shard's worker loop. The per-iteration order is load-bearing:
-  /// read peer frontiers (acquire) FIRST, then drain rings, then compute
-  /// the local candidate, then publish — see the file comment.
-  void run_shard(Shard& sh, sim::TerminationGate& gate) {
-    sim::SpinWaiter spin;
-    std::uint64_t gate_parity = 0;
-    for (;;) {
-      check_abort();
-      std::uint64_t safe = safe_horizon(sh);
-      drain_rings(sh);
-      const std::uint64_t qnext =
-          sh.queue.empty() ? kNoTime : sh.queue.next_time();
-      const std::uint64_t snext =
-          sh.staging.empty() ? kNoTime : sh.staging.front().raw;
-      const std::uint64_t cand = std::min(qnext, snext);
-      sh.local_next.store(cand, std::memory_order_release);
-      // Idle shards publish the safe horizon itself (never "infinity"):
-      // peers' horizons then ratchet forward by the lookahead each round,
-      // which is what guarantees global progress.
-      publish_frontier(sh, std::min(cand, safe));
-      if (cand >= safe) {
-        // Stalled on peer frontiers. Before ratcheting D per round, try
-        // the flux-consistent jump: with no message in flight the global
-        // next-event minimum bounds every future arrival, letting this
-        // shard (and, via its republished frontier, its peers) leap a
-        // sparse-event gap in one round instead of O(gap/D).
-        const std::uint64_t jumped = gvt_jump(sh, cand);
-        if (jumped > safe) {
-          safe = jumped;
-          publish_frontier(sh, std::min(cand, safe));
-        }
-      }
-      if (cand == kNoTime) {
-        sh.idle.store(true, std::memory_order_release);
-        if (all_idle() && try_terminate(sh, gate, gate_parity)) return;
-        spin.wait();
-        continue;
-      }
-      sh.idle.store(false, std::memory_order_relaxed);
-      if (cand >= safe) {
-        spin.wait();
-        continue;
-      }
-      spin.reset();
-      process_window(sh, safe, /*publish=*/true);
-    }
-  }
-
-  void run_sharded() {
-    sim::TerminationGate gate(shard_count_);
-    std::atomic<bool> abort{false};
-    abort_ = &abort;
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(shard_count_));
-    auto body = [&](int index) {
-      try {
-        run_shard(*shards_[static_cast<std::size_t>(index)], gate);
-      } catch (const sim::ShardAbort&) {
-        // Another shard failed first; unwind quietly.
-      } catch (...) {
-        errors[static_cast<std::size_t>(index)] = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(shard_count_ - 1));
-    for (int s = 1; s < shard_count_; ++s) workers.emplace_back(body, s);
-    body(0);
-    for (std::thread& worker : workers) worker.join();
-    abort_ = nullptr;
-    // Rethrow the lowest shard index's failure (deterministic pick).
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
+      case Event::Type::kLookup: handle_lookup(now, event); break;
+      case Event::Type::kFeComplete: handle_fe_complete(now, event); break;
+      case Event::Type::kReply: handle_reply(now, event); break;
+      case Event::Type::kTimeout: handle_timeout(now, event); break;
+      case Event::Type::kDegraded: handle_degraded(now, event); break;
+      case Event::Type::kUpdateInject: handle_update_inject(now, event); break;
+      case Event::Type::kUpdateApply: handle_update_apply(now, event); break;
+      case Event::Type::kInvalidate: handle_invalidate(now, event); break;
+      case Event::Type::kCopyLookup: handle_copy_lookup(now, event); break;
+      case Event::Type::kProbe: handle_probe(now, event); break;
+      case Event::Type::kProbeReply: handle_probe_reply(now, event); break;
+      case Event::Type::kResyncFetch: handle_resync_fetch(now, event); break;
+      case Event::Type::kResyncSend: handle_resync_send(now, event); break;
+      case Event::Type::kResyncChunk: handle_resync_chunk(now, event); break;
+      case Event::Type::kMigrateStart: handle_migrate_start(now, event); break;
+      case Event::Type::kMigrateSend: handle_migrate_send(now, event); break;
+      case Event::Type::kMigrateChunk: handle_migrate_chunk(now, event); break;
+      case Event::Type::kMigrateDelta: handle_migrate_delta(now, event); break;
+      case Event::Type::kMigrateBuilt: handle_migrate_built(now, event); break;
+      case Event::Type::kMigrateReady: handle_migrate_ready(now, event); break;
+      case Event::Type::kCutover: handle_cutover(now, event); break;
+      case Event::Type::kRebalanceTick: handle_rebalance_tick(now, event); break;
     }
   }
 
@@ -1292,23 +773,23 @@ class BasicRouterSim {
 
   /// The waiting list for (lc, addr), creating it from the node free-list
   /// when possible so the hot miss path performs no allocation.
-  std::vector<Requester>& waiters(Shard& sh, int lc, const Addr& addr) {
+  std::vector<Requester>& waiters(int lc, const Addr& addr) {
     const WaitKey key = wait_key(lc, addr);
-    const auto it = sh.waiting.find(key);
-    if (it != sh.waiting.end()) return it->second;
-    if (!sh.wait_pool.empty()) {
-      auto node = std::move(sh.wait_pool.back());
-      sh.wait_pool.pop_back();
+    const auto it = waiting_.find(key);
+    if (it != waiting_.end()) return it->second;
+    if (!wait_pool_.empty()) {
+      auto node = std::move(wait_pool_.back());
+      wait_pool_.pop_back();
       node.key() = key;
-      return sh.waiting.insert(std::move(node)).position->second;
+      return waiting_.insert(std::move(node)).position->second;
     }
-    return sh.waiting[key];
+    return waiting_[key];
   }
 
   /// Parks a requester on the (lc, addr) waiting list, tracking the per-LC
   /// parked-requester high-water mark.
-  void park(Shard& sh, int lc, const Addr& addr, const Requester& requester) {
-    waiters(sh, lc, addr).push_back(requester);
+  void park(int lc, const Addr& addr, const Requester& requester) {
+    waiters(lc, addr).push_back(requester);
     auto& depth = waiting_depth_[static_cast<std::size_t>(lc)];
     ++depth;
     auto& lc_stats = result_.per_lc[static_cast<std::size_t>(lc)];
@@ -1317,24 +798,23 @@ class BasicRouterSim {
 
   /// Moves the waiting list for (lc, addr) into a scratch buffer (empty if
   /// none) and recycles both the map node and the vector capacity. The
-  /// scratch is per-shard: callers drain it before the next take_waiters().
-  const std::vector<Requester>& take_waiters(Shard& sh, int lc,
-                                             const Addr& addr) {
-    sh.wait_scratch.clear();
-    const auto it = sh.waiting.find(wait_key(lc, addr));
-    if (it != sh.waiting.end()) {
+  /// scratch is shared: callers drain it before the next take_waiters().
+  const std::vector<Requester>& take_waiters(int lc, const Addr& addr) {
+    wait_scratch_.clear();
+    const auto it = waiting_.find(wait_key(lc, addr));
+    if (it != waiting_.end()) {
       // Swap (not move) so the extracted node inherits the scratch's old
       // capacity and carries it back through the pool.
-      sh.wait_scratch.swap(it->second);
-      sh.wait_pool.push_back(sh.waiting.extract(it));
-      waiting_depth_[static_cast<std::size_t>(lc)] -= sh.wait_scratch.size();
+      wait_scratch_.swap(it->second);
+      wait_pool_.push_back(waiting_.extract(it));
+      waiting_depth_[static_cast<std::size_t>(lc)] -= wait_scratch_.size();
     }
-    return sh.wait_scratch;
+    return wait_scratch_;
   }
 
   // ----- Lookup flow -------------------------------------------------------
 
-  void handle_lookup(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_lookup(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     const Addr addr = event.addr;
     const Requester requester = event.requester;
@@ -1342,7 +822,7 @@ class BasicRouterSim {
       // One probe per cycle per LR-cache (Sec. 5.1): contend for the port.
       auto& port_free = cache_port_free_[static_cast<std::size_t>(lc)];
       if (port_free > now) {
-        sh.queue.schedule(port_free, event);
+        queue_.schedule(port_free, event);
         return;
       }
       port_free = now + 1;
@@ -1350,10 +830,10 @@ class BasicRouterSim {
       const cache::ProbeResult probe = cache.probe(addr, now);
       switch (probe.state) {
         case cache::ProbeState::kHit:
-          deliver_result(sh, now + 1, lc, addr, probe.next_hop, requester);
+          deliver_result(now + 1, lc, addr, probe.next_hop, requester);
           return;
         case cache::ProbeState::kWaiting:
-          park(sh, lc, addr, requester);
+          park(lc, addr, requester);
           return;
         case cache::ProbeState::kMiss:
           break;
@@ -1366,11 +846,11 @@ class BasicRouterSim {
       if (!caches_.empty() && config_.early_reservation) {
         fill = caches_[static_cast<std::size_t>(lc)]->reserve(
             addr, cache::Origin::kLocal, now);
-        if (fill) park(sh, lc, addr, requester);
+        if (fill) park(lc, addr, requester);
       }
       // frag != lc only after a cutover re-homed the fragment here: the
       // job then runs on the migrated/hosted structure, not this LC's FE.
-      start_fe_job(sh, now, lc, addr, fill, requester,
+      start_fe_job(now, lc, addr, fill, requester,
                    frag == lc ? -1 : foreign_aux(frag));
     } else {
       // Failover: steer around a non-alive primary before committing the
@@ -1378,19 +858,19 @@ class BasicRouterSim {
       // so R = 0 and fault-free runs take the exact pre-failover path).
       int target = home;
       if (replication_active() && faults_active()) {
-        target = choose_target(sh, lc, frag, now);
+        target = choose_target(lc, frag, now);
       }
       if (target == lc) {
         // This LC holds a live copy of the fragment: serve the miss from
         // its own resident replica instead of crossing the fabric.
-        ++sh.c.fo.local_replica_serves;
+        ++result_.failover.local_replica_serves;
         bool fill = false;
         if (!caches_.empty() && config_.early_reservation) {
           fill = caches_[static_cast<std::size_t>(lc)]->reserve(
               addr, cache::Origin::kRemote, now);
-          if (fill) park(sh, lc, addr, requester);
+          if (fill) park(lc, addr, requester);
         }
-        start_fe_job(sh, now, lc, addr, fill, requester, copy_index(lc, frag));
+        start_fe_job(now, lc, addr, fill, requester, copy_index(lc, frag));
         return;
       }
       if (requester.lc != lc) {
@@ -1398,13 +878,13 @@ class BasicRouterSim {
         // was the fragment's home when sent): relay it onward under the
         // original requester and seq — the requester's own timeout still
         // covers the round trip, and its pending entry matches the reply.
-        count_request(sh, lc, target);
+        count_request(lc, target);
         const Event relay{Event::Type::kLookup, target, addr, requester,
                           false, net::kNoRoute, frag};
         if (faults_active()) {
-          send_lossy(sh, lc, target, now + 1, relay);
+          send_lossy(lc, target, now + 1, relay);
         } else {
-          send_reliable(sh, lc, now + 1, relay);
+          send_reliable(lc, now + 1, relay);
         }
         return;
       }
@@ -1413,15 +893,15 @@ class BasicRouterSim {
       if (!caches_.empty() && config_.early_reservation) {
         if (caches_[static_cast<std::size_t>(lc)]->reserve(
                 addr, cache::Origin::kRemote, now)) {
-          park(sh, lc, addr, requester);
+          park(lc, addr, requester);
           forwarded.fill_on_reply = true;
         }
       }
-      send_request(sh, now, lc, frag, target, addr, forwarded);
+      send_request(now, lc, frag, target, addr, forwarded);
     }
   }
 
-  void start_fe_job(Shard& sh, std::uint64_t now, int lc, const Addr& addr,
+  void start_fe_job(std::uint64_t now, int lc, const Addr& addr,
                     bool fill, Requester direct, std::int32_t aux = -1) {
     // k-server deterministic queue: the job runs on the earliest-free engine.
     auto& servers = fe_free_[static_cast<std::size_t>(lc)];
@@ -1437,21 +917,21 @@ class BasicRouterSim {
       // after the bytes already resident at this LC).
       trie::MemAccessCounter counter;
       Family::fe_lookup_counted(fe_for(lc, aux), addr, counter);
-      service = model_for(lc, aux).charge(counter, sh.c.memory);
+      service = model_for(lc, aux).charge(counter, memory_counters_);
     }
     const std::uint64_t completion = start + service;
     fe_free = completion;
     fe_busy_[static_cast<std::size_t>(lc)] += service;
-    ++sh.c.fe_lookups;
-    if (aux >= 0) ++sh.c.fo.replica_lookups;
+    ++result_.fe_lookups;
+    if (aux >= 0) ++result_.failover.replica_lookups;
     auto& lc_stats = result_.per_lc[static_cast<std::size_t>(lc)];
     ++lc_stats.fe_lookups;
     lc_stats.fe_queue_wait_cycles += start - now;
-    sh.queue.schedule(completion, Event{Event::Type::kFeComplete, lc, addr,
-                                        direct, fill, net::kNoRoute, aux});
+    queue_.schedule(completion, Event{Event::Type::kFeComplete, lc, addr,
+                                      direct, fill, net::kNoRoute, aux});
   }
 
-  void handle_fe_complete(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_fe_complete(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     const Addr addr = event.addr;
     const net::NextHop hop = Family::fe_lookup(fe_for(lc, event.aux), addr);
@@ -1461,8 +941,8 @@ class BasicRouterSim {
       }
       // Serve everything parked on the block: local packets resolve, remote
       // requesters receive replies over the fabric.
-      for (const Requester& r : take_waiters(sh, lc, addr)) {
-        deliver_result(sh, now, lc, addr, hop, r);
+      for (const Requester& r : take_waiters(lc, addr)) {
+        deliver_result(now, lc, addr, hop, r);
       }
     } else {
       // No reserved block (early recording disabled or the reservation
@@ -1479,11 +959,11 @@ class BasicRouterSim {
             event.aux >= 0 ? cache::Origin::kRemote : cache::Origin::kLocal,
             now);
       }
-      deliver_result(sh, now, lc, addr, hop, event.requester);
+      deliver_result(now, lc, addr, hop, event.requester);
     }
   }
 
-  void handle_reply(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_reply(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     const Addr addr = event.addr;
     if (faults_active()) {
@@ -1491,16 +971,16 @@ class BasicRouterSim {
       // already settled — an earlier attempt's reply was accepted or the
       // lookup fell back to the degraded path — so this one is a duplicate
       // and must not touch the cache or resolve anything twice.
-      const auto it = sh.pending.find(event.requester.seq);
-      if (it == sh.pending.end()) {
-        ++sh.c.duplicate_replies;
+      const auto it = pending_.find(event.requester.seq);
+      if (it == pending_.end()) {
+        ++result_.fault.duplicate_replies;
         return;
       }
       if (replication_active()) {
         // Evidence of life from the LC that answered this attempt.
-        note_alive(sh, lc, it->second.target, /*via_probe=*/false);
+        note_alive(lc, it->second.target, /*via_probe=*/false);
       }
-      sh.pending.erase(it);
+      pending_.erase(it);
     }
     if (!caches_.empty()) {
       if (event.requester.fill_on_reply) {
@@ -1519,41 +999,38 @@ class BasicRouterSim {
     // requester its reply — resolving it here would strand the packets
     // parked behind it at its own LC, with no timeout to recover them on
     // the fault-free path.
-    for (const Requester& r : take_waiters(sh, lc, addr)) {
-      deliver_result(sh, now, lc, addr, event.hop, r);
+    for (const Requester& r : take_waiters(lc, addr)) {
+      deliver_result(now, lc, addr, event.hop, r);
     }
-    resolve_packet(sh, now, event.requester.packet, event.hop);
+    resolve_packet(now, event.requester.packet, event.hop);
   }
 
-  void deliver_result(Shard& sh, std::uint64_t now, int lc, const Addr& addr,
+  void deliver_result(std::uint64_t now, int lc, const Addr& addr,
                       net::NextHop hop, const Requester& requester) {
     if (requester.lc == lc) {
-      resolve_packet(sh, now, requester.packet, hop);
+      resolve_packet(now, requester.packet, hop);
       return;
     }
-    ++sh.c.remote_replies;
+    ++result_.remote_replies;
     const Event reply{Event::Type::kReply, requester.lc, addr, requester,
                       false, hop};
     if (faults_active()) {
       // The reply can be lost too; the requester's timeout covers the whole
       // round trip, so a dropped reply is indistinguishable from a dropped
       // request and triggers the same retry/degraded recovery.
-      send_lossy(sh, lc, requester.lc, now, reply);
+      send_lossy(lc, requester.lc, now, reply);
       return;
     }
-    send_reliable(sh, lc, now, reply);
+    send_reliable(lc, now, reply);
   }
 
   /// Marks a packet resolved; false when it already was (waiting-list
-  /// drains and the degraded path can race the same packet). Only the shard
-  /// owning the packet's arrival LC ever touches its resolved_ slot or its
-  /// per-LC latency histogram.
-  bool resolve_packet(Shard& sh, std::uint64_t now, std::int64_t packet,
-                      net::NextHop hop) {
+  /// drains and the degraded path can race the same packet).
+  bool resolve_packet(std::uint64_t now, std::int64_t packet, net::NextHop hop) {
     const auto index = static_cast<std::size_t>(packet);
     if (resolved_[index]) return false;
     resolved_[index] = 1;
-    ++sh.c.resolved_packets;
+    ++result_.resolved_packets;
     const std::uint64_t cycles = now - arrival_time_[index];
     result_.per_lc_latency[static_cast<std::size_t>(arrival_lc_[index])]
         .record(cycles);
@@ -1572,7 +1049,7 @@ class BasicRouterSim {
       const net::NextHop expected =
           Family::oracle_lookup(*oracle_, destinations_[index]);
       if (expected != hop && !update_excuses(index, now)) {
-        ++sh.c.verify_mismatches;
+        ++result_.verify_mismatches;
       }
     }
     return true;
@@ -1598,44 +1075,31 @@ class BasicRouterSim {
 
   bool faults_active() const { return config_.fault.enabled; }
 
-  /// The full-table slow-path index for degraded mode (shared with verify
-  /// mode's oracle — both are LPM over the unpartitioned table). run()
-  /// builds it eagerly whenever faults are enabled, so this lazy fallback
-  /// never triggers under the sharded engine.
-  const typename Family::Oracle& degraded_index() {
-    if (oracle_ == nullptr) {
-      oracle_ = std::make_unique<typename Family::Oracle>(
-          Family::build_oracle(full_table_));
-    }
-    return *oracle_;
-  }
-
-  /// Hands out request seqs that are unique, nonzero, and independent of
-  /// the engine: each LC strides by num_lcs from its own offset.
+  /// Hands out request seqs that are unique and nonzero: each LC strides by
+  /// num_lcs from its own offset.
   std::uint64_t next_request_seq(int lc) {
     return request_seq_[static_cast<std::size_t>(lc)]++ *
                static_cast<std::uint64_t>(config_.num_lcs) +
            static_cast<std::uint64_t>(lc) + 1;
   }
 
-  void send_request(Shard& sh, std::uint64_t now, int from_lc, int frag,
+  void send_request(std::uint64_t now, int from_lc, int frag,
                     int target, const Addr& addr, const Requester& requester) {
     if (!faults_active()) {
-      count_request(sh, from_lc, target);
-      send_reliable(sh, from_lc, now + 1,
+      count_request(from_lc, target);
+      send_reliable(from_lc, now + 1,
                     Event{Event::Type::kLookup, target, addr, requester, false,
                           net::kNoRoute});
       return;
     }
     Requester tagged = requester;
     tagged.seq = next_request_seq(from_lc);
-    sh.pending.emplace(tagged.seq,
-                       PendingRequest{addr, tagged, frag, target, 0});
-    dispatch_request(sh, now, frag, target, addr, tagged, /*attempt=*/0);
+    pending_.emplace(tagged.seq, PendingRequest{addr, tagged, frag, target, 0});
+    dispatch_request(now, frag, target, addr, tagged, /*attempt=*/0);
   }
 
-  void count_request(Shard& sh, int from_lc, int home) {
-    ++sh.c.remote_requests;
+  void count_request(int from_lc, int home) {
+    ++result_.remote_requests;
     ++result_.remote_fanout[static_cast<std::size_t>(from_lc) *
                                 static_cast<std::size_t>(config_.num_lcs) +
                             static_cast<std::size_t>(home)];
@@ -1647,44 +1111,44 @@ class BasicRouterSim {
   /// seq first, so a lost message can never strand the lookup. A re-routed
   /// attempt (target != the fragment's serving LC) rides a kCopyLookup so
   /// the replica holder serves it from its resident copy.
-  void dispatch_request(Shard& sh, std::uint64_t now, int frag, int target,
+  void dispatch_request(std::uint64_t now, int frag, int target,
                         const Addr& addr, const Requester& requester,
                         int attempt) {
-    count_request(sh, requester.lc, target);
+    count_request(requester.lc, target);
     // A kCopyLookup is only meaningful at an LC that actually holds a copy;
     // a target that stopped being the serving LC mid-flight (migration
     // cutover) without holding one gets a plain kLookup, which the arrival
     // LC forwards to the fragment's current home like any other request.
     const bool rerouted =
         target != serving_lc(frag) && copy_slot(target, frag) >= 0;
-    if (rerouted) ++sh.c.fo.rerouted_requests;
-    send_lossy(sh, requester.lc, target, now + 1,
+    if (rerouted) ++result_.failover.rerouted_requests;
+    send_lossy(requester.lc, target, now + 1,
                Event{rerouted ? Event::Type::kCopyLookup : Event::Type::kLookup,
                      target, addr, requester, false, net::kNoRoute, frag});
     // Exponential backoff with the shift clamped (backoff_cycles) so a huge
     // configured timeout or retry budget can never wrap the timer. The
-    // timer is a local event at the requesting LC — it never crosses shards.
+    // timer is a local event at the requesting LC.
     const std::uint64_t backoff = backoff_cycles(timeout_base_, attempt);
-    sh.queue.schedule(now + 1 + backoff,
-                      Event{Event::Type::kTimeout, requester.lc, addr,
-                            requester, false, net::kNoRoute});
+    queue_.schedule(now + 1 + backoff, Event{Event::Type::kTimeout, requester.lc,
+                                             addr, requester, false,
+                                             net::kNoRoute});
   }
 
-  void handle_timeout(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_timeout(std::uint64_t now, const Event& event) {
     // Stale timers were filtered in dispatch_one: this seq is live.
-    const auto it = sh.pending.find(event.requester.seq);
+    const auto it = pending_.find(event.requester.seq);
     PendingRequest& pending = it->second;
-    ++sh.c.timeouts;
+    ++result_.fault.timeouts;
     if (replication_active()) {
       // The silence is evidence against whichever LC this attempt targeted.
-      note_timeout(sh, pending.requester.lc, pending.target);
+      note_timeout(pending.requester.lc, pending.target);
     }
     if (pending.attempt < config_.recovery.max_retries) {
       ++pending.attempt;
-      ++sh.c.retransmits;
+      ++result_.fault.retransmits;
       if (replication_active()) {
         const int target =
-            choose_target(sh, pending.requester.lc, pending.home, now);
+            choose_target(pending.requester.lc, pending.home, now);
         if (target == pending.requester.lc) {
           // Best live holder is this LC itself: settle the request from the
           // local copy. The FE completion fills the reserved block (if any)
@@ -1693,11 +1157,11 @@ class BasicRouterSim {
           // fragment onto this very LC while the request was in flight, the
           // job runs on the migrated structure, not a replica copy.
           const PendingRequest settled = pending;
-          sh.pending.erase(it);
+          pending_.erase(it);
           const bool rehomed =
               serving_lc(settled.home) == settled.requester.lc;
-          if (!rehomed) ++sh.c.fo.local_replica_serves;
-          start_fe_job(sh, now, settled.requester.lc, settled.addr,
+          if (!rehomed) ++result_.failover.local_replica_serves;
+          start_fe_job(now, settled.requester.lc, settled.addr,
                        settled.requester.fill_on_reply, settled.requester,
                        rehomed ? foreign_aux(settled.home)
                                : copy_index(settled.requester.lc,
@@ -1711,7 +1175,7 @@ class BasicRouterSim {
         // hammering the frozen source.
         pending.target = serving_lc(pending.home);
       }
-      dispatch_request(sh, now, pending.home, pending.target, pending.addr,
+      dispatch_request(now, pending.home, pending.target, pending.addr,
                        pending.requester, pending.attempt);
       return;
     }
@@ -1719,30 +1183,30 @@ class BasicRouterSim {
     // reply would have filled (its quota must not leak for the rest of the
     // run), then resolve the requester and every packet parked behind it
     // with a local full-table lookup at the conventional-router cost.
-    ++sh.c.degraded_fallbacks;
+    ++result_.fault.degraded_fallbacks;
     const int lc = pending.requester.lc;
     const Addr addr = pending.addr;
     if (!caches_.empty() && pending.requester.fill_on_reply) {
       if (caches_[static_cast<std::size_t>(lc)]->cancel_waiting(addr)) {
-        ++sh.c.reclaimed_waiting_blocks;
+        ++result_.fault.reclaimed_waiting_blocks;
       }
     }
-    const net::NextHop hop = Family::oracle_lookup(degraded_index(), addr);
+    const net::NextHop hop = Family::oracle_lookup(*oracle_, addr);
     const std::uint64_t done =
         now + static_cast<std::uint64_t>(
                   std::max(1, config_.recovery.degraded_service_cycles));
-    for (const Requester& r : take_waiters(sh, lc, addr)) {
-      sh.queue.schedule(done,
-                        Event{Event::Type::kDegraded, lc, addr, r, false, hop});
+    for (const Requester& r : take_waiters(lc, addr)) {
+      queue_.schedule(done,
+                      Event{Event::Type::kDegraded, lc, addr, r, false, hop});
     }
-    sh.queue.schedule(done, Event{Event::Type::kDegraded, lc, addr,
-                                  pending.requester, false, hop});
-    sh.pending.erase(it);
+    queue_.schedule(done, Event{Event::Type::kDegraded, lc, addr,
+                                pending.requester, false, hop});
+    pending_.erase(it);
   }
 
-  void handle_degraded(Shard& sh, std::uint64_t now, const Event& event) {
-    if (resolve_packet(sh, now, event.requester.packet, event.hop)) {
-      ++sh.c.degraded_lookups;
+  void handle_degraded(std::uint64_t now, const Event& event) {
+    if (resolve_packet(now, event.requester.packet, event.hop)) {
+      ++result_.fault.degraded_lookups;
     }
   }
 
@@ -1771,21 +1235,17 @@ class BasicRouterSim {
   /// Injection of update i at the control plane (modelled at LC 0's fabric
   /// port): the oracle advances immediately — it is the control plane's
   /// view — and one fabric message per home LC carries the update out.
-  void handle_update_inject(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_update_inject(std::uint64_t now, const Event& event) {
     const auto index = static_cast<std::size_t>(event.requester.packet);
     const auto& update = updates_[index];
-    ++sh.c.update.applied;
-    ++sh.c.updates_applied;
+    ++result_.update.applied;
+    ++result_.updates_applied;
     switch (update.kind) {
-      case net::UpdateKind::kAnnounce: ++sh.c.update.announces; break;
-      case net::UpdateKind::kWithdraw: ++sh.c.update.withdraws; break;
-      case net::UpdateKind::kHopChange: ++sh.c.update.hop_changes; break;
+      case net::UpdateKind::kAnnounce: ++result_.update.announces; break;
+      case net::UpdateKind::kWithdraw: ++result_.update.withdraws; break;
+      case net::UpdateKind::kHopChange: ++result_.update.hop_changes; break;
     }
     if (oracle_ != nullptr) {
-      // Under the sharded engine this only runs when nothing reads the
-      // oracle concurrently: verify/fault runs with live updates force the
-      // solo engine (planned_shards), so a mutating inject can only share a
-      // run with readers when there is a single shard.
       if (update.kind == net::UpdateKind::kWithdraw) {
         oracle_->remove(update.prefix);
       } else {
@@ -1815,7 +1275,7 @@ class BasicRouterSim {
       tokens += 1 + static_cast<std::uint32_t>(
                         replica_plan_[static_cast<std::size_t>(home)].size());
     }
-    update_outstanding_[index].fetch_add(tokens, std::memory_order_relaxed);
+    update_outstanding_[index] += tokens;
     for (const int home : homes) {
       const int primary = serving_lc(home);
       const auto& holders = replica_plan_[static_cast<std::size_t>(home)];
@@ -1836,23 +1296,23 @@ class BasicRouterSim {
         }
       }
       if (acting >= 0) {
-        ++sh.c.fo.missed_updates;
+        ++result_.failover.missed_updates;
         stale_[static_cast<std::size_t>(primary)] = 1;
         missed_updates_[static_cast<std::size_t>(primary)].push_back(index);
       } else {
-        ++sh.c.update.update_messages;
+        ++result_.update.update_messages;
         // Control messages ride the fabric reliably (egress, not
         // egress_lossy): BGP sessions run over TCP, losses are
         // retransmitted below the timescale this model resolves.
-        send_reliable(sh, 0, now + 1,
+        send_reliable(0, now + 1,
                       Event{Event::Type::kUpdateApply, primary, Addr{},
                             event.requester, false, net::kNoRoute, home});
       }
       // Every replica copy stays fresh regardless of the primary's fate;
       // the acting holder's event carries the broadcast flag (fill).
       for (const int r : holders) {
-        ++sh.c.update.update_messages;
-        send_reliable(sh, 0, now + 1,
+        ++result_.update.update_messages;
+        send_reliable(0, now + 1,
                       Event{Event::Type::kUpdateApply, r, Addr{},
                             event.requester, /*fill=*/r == acting,
                             net::kNoRoute, home});
@@ -1867,7 +1327,7 @@ class BasicRouterSim {
   /// so per-(src,dst) fabric FIFO guarantees it overtakes no stale reply
   /// this home produced earlier — the invalidation is a barrier behind
   /// which no pre-update value survives in any cache.
-  void handle_update_apply(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_update_apply(std::uint64_t now, const Event& event) {
     const auto index = static_cast<std::size_t>(event.requester.packet);
     const auto& update = updates_[index];
     const int lc = event.lc;
@@ -1879,12 +1339,12 @@ class BasicRouterSim {
       // failover replica copies.
       if (config_.migration.enabled && migration_.cut_over &&
           lc == migration_.dst && frag == migration_.frag) {
-        apply_update_migrated(sh, now, event, index);
+        apply_update_migrated(now, event, index);
       } else if (config_.rebalancer.enabled && serving_lc(frag) == lc &&
                  hosted_slot(lc, frag) >= 0) {
-        apply_update_hosted(sh, now, event, index);
+        apply_update_hosted(now, event, index);
       } else {
-        apply_update_copy(sh, now, event, index);
+        apply_update_copy(now, event, index);
       }
       return;
     }
@@ -1892,18 +1352,18 @@ class BasicRouterSim {
     net::apply_update(fragment, update);
     auto& fe = fes_[static_cast<std::size_t>(lc)];
     std::uint64_t cost = 0;
-    ++sh.c.update.applications;
+    ++result_.update.applications;
     if (Family::fe_supports_update(fe)) {
       if (update.kind == net::UpdateKind::kWithdraw) {
         Family::fe_remove(fe, update.prefix);
       } else {
         Family::fe_insert(fe, update.prefix, update.next_hop);
       }
-      ++sh.c.update.fe_incremental;
+      ++result_.update.fe_incremental;
       cost = config_.update.incremental_cost_cycles;
     } else {
       fe = Family::build_fe(fragment, config_);
-      ++sh.c.update.fe_rebuilds;
+      ++result_.update.fe_rebuilds;
       cost = config_.update.rebuild_base_cycles +
              fragment.size() * config_.update.rebuild_millicycles_per_entry /
                  1000;
@@ -1911,7 +1371,6 @@ class BasicRouterSim {
     // The applied update changed the FE's arena footprints; re-place them
     // so subsequent jobs at this LC price against the current structure
     // (any replica copies resident here shift behind the new size too).
-    // The model is element-owned by this LC's shard, like the FE itself.
     rebuild_fe_model(lc);
     rebuild_copy_models_at(lc);
     // The FE is unavailable while the update applies: every server stalls.
@@ -1919,19 +1378,19 @@ class BasicRouterSim {
       server = std::max(server, now) + cost;
     }
     fe_busy_[static_cast<std::size_t>(lc)] += cost;
-    sh.c.update.update_cost_cycles += cost;
+    result_.update.update_cost_cycles += cost;
     if (!caches_.empty()) {
-      invalidate_cache(sh, lc, update);
+      invalidate_cache(lc, update);
       for (int other = 0; other < config_.num_lcs; ++other) {
         if (other == lc) continue;
-        ++sh.c.update.invalidation_messages;
-        update_outstanding_[index].fetch_add(1, std::memory_order_relaxed);
-        send_reliable(sh, lc, now + 1,
+        ++result_.update.invalidation_messages;
+        ++update_outstanding_[index];
+        send_reliable(lc, now + 1,
                       Event{Event::Type::kInvalidate, other, Addr{},
                             event.requester, false, net::kNoRoute});
       }
     }
-    maybe_double_deliver(sh, now, event, lc, frag, index);
+    maybe_double_deliver(now, event, lc, frag, index);
     settle_update(index, now);
   }
 
@@ -1940,23 +1399,23 @@ class BasicRouterSim {
   /// until the target has absorbed it, so the staged structure can never be
   /// resolved-against stale. The delta event carries the fragment in aux so
   /// a straggler can still find its (cut-over, hosted) structure.
-  void maybe_double_deliver(Shard& sh, std::uint64_t now, const Event& event,
+  void maybe_double_deliver(std::uint64_t now, const Event& event,
                             int lc, int frag, std::size_t index) {
     if (!(migration_.copying && !migration_.cut_over && !migration_.aborted &&
           lc == migration_.src && frag == migration_.frag)) {
       return;
     }
-    ++sh.c.fo.double_delivered_updates;
-    ++sh.c.fo.control_messages;
-    update_outstanding_[index].fetch_add(1, std::memory_order_relaxed);
-    send_reliable(sh, lc, now + 1,
+    ++result_.failover.double_delivered_updates;
+    ++result_.failover.control_messages;
+    ++update_outstanding_[index];
+    send_reliable(lc, now + 1,
                   Event{Event::Type::kMigrateDelta, migration_.dst, Addr{},
                         event.requester, false, net::kNoRoute, frag});
   }
 
   /// Post-cutover primary apply at the migration target: identical to an
   /// own-fragment apply, but against the staged structure.
-  void apply_update_migrated(Shard& sh, std::uint64_t now, const Event& event,
+  void apply_update_migrated(std::uint64_t now, const Event& event,
                              std::size_t index) {
     const auto& update = updates_[index];
     const int lc = event.lc;
@@ -1964,18 +1423,18 @@ class BasicRouterSim {
     net::apply_update(fragment, update);
     auto& fe = *migration_.staged_fe;
     std::uint64_t cost = 0;
-    ++sh.c.update.applications;
+    ++result_.update.applications;
     if (Family::fe_supports_update(fe)) {
       if (update.kind == net::UpdateKind::kWithdraw) {
         Family::fe_remove(fe, update.prefix);
       } else {
         Family::fe_insert(fe, update.prefix, update.next_hop);
       }
-      ++sh.c.update.fe_incremental;
+      ++result_.update.fe_incremental;
       cost = config_.update.incremental_cost_cycles;
     } else {
       fe = Family::build_fe(fragment, config_);
-      ++sh.c.update.fe_rebuilds;
+      ++result_.update.fe_rebuilds;
       cost = config_.update.rebuild_base_cycles +
              fragment.size() * config_.update.rebuild_millicycles_per_entry /
                  1000;
@@ -1985,14 +1444,14 @@ class BasicRouterSim {
       server = std::max(server, now) + cost;
     }
     fe_busy_[static_cast<std::size_t>(lc)] += cost;
-    sh.c.update.update_cost_cycles += cost;
+    result_.update.update_cost_cycles += cost;
     if (!caches_.empty()) {
-      invalidate_cache(sh, lc, update);
+      invalidate_cache(lc, update);
       for (int other = 0; other < config_.num_lcs; ++other) {
         if (other == lc) continue;
-        ++sh.c.update.invalidation_messages;
-        update_outstanding_[index].fetch_add(1, std::memory_order_relaxed);
-        send_reliable(sh, lc, now + 1,
+        ++result_.update.invalidation_messages;
+        ++update_outstanding_[index];
+        send_reliable(lc, now + 1,
                       Event{Event::Type::kInvalidate, other, Addr{},
                             event.requester, false, net::kNoRoute});
       }
@@ -2004,7 +1463,7 @@ class BasicRouterSim {
   /// onto: identical to an own-fragment apply, but against the hosted
   /// structure. Double-delivers like an own-fragment apply when the hosted
   /// fragment is itself mid-move to yet another LC.
-  void apply_update_hosted(Shard& sh, std::uint64_t now, const Event& event,
+  void apply_update_hosted(std::uint64_t now, const Event& event,
                            std::size_t index) {
     const auto& update = updates_[index];
     const int lc = event.lc;
@@ -2013,18 +1472,18 @@ class BasicRouterSim {
     net::apply_update(*hosted.table, update);
     auto& fe = *hosted.fe;
     std::uint64_t cost = 0;
-    ++sh.c.update.applications;
+    ++result_.update.applications;
     if (Family::fe_supports_update(fe)) {
       if (update.kind == net::UpdateKind::kWithdraw) {
         Family::fe_remove(fe, update.prefix);
       } else {
         Family::fe_insert(fe, update.prefix, update.next_hop);
       }
-      ++sh.c.update.fe_incremental;
+      ++result_.update.fe_incremental;
       cost = config_.update.incremental_cost_cycles;
     } else {
       fe = Family::build_fe(*hosted.table, config_);
-      ++sh.c.update.fe_rebuilds;
+      ++result_.update.fe_rebuilds;
       cost = config_.update.rebuild_base_cycles +
              hosted.table->size() *
                  config_.update.rebuild_millicycles_per_entry / 1000;
@@ -2034,19 +1493,19 @@ class BasicRouterSim {
       server = std::max(server, now) + cost;
     }
     fe_busy_[static_cast<std::size_t>(lc)] += cost;
-    sh.c.update.update_cost_cycles += cost;
+    result_.update.update_cost_cycles += cost;
     if (!caches_.empty()) {
-      invalidate_cache(sh, lc, update);
+      invalidate_cache(lc, update);
       for (int other = 0; other < config_.num_lcs; ++other) {
         if (other == lc) continue;
-        ++sh.c.update.invalidation_messages;
-        update_outstanding_[index].fetch_add(1, std::memory_order_relaxed);
-        send_reliable(sh, lc, now + 1,
+        ++result_.update.invalidation_messages;
+        ++update_outstanding_[index];
+        send_reliable(lc, now + 1,
                       Event{Event::Type::kInvalidate, other, Addr{},
                             event.requester, false, net::kNoRoute});
       }
     }
-    maybe_double_deliver(sh, now, event, lc, frag, index);
+    maybe_double_deliver(now, event, lc, frag, index);
     settle_update(index, now);
   }
 
@@ -2054,7 +1513,7 @@ class BasicRouterSim {
   /// the event carries the acting-broadcast flag (event.fill) the holder
   /// also invalidates on behalf of a primary whose apply was deferred, so
   /// the invalidation barrier exists even while the primary is dark.
-  void apply_update_copy(Shard& sh, std::uint64_t now, const Event& event,
+  void apply_update_copy(std::uint64_t now, const Event& event,
                          std::size_t index) {
     const auto& update = updates_[index];
     const int lc = event.lc;
@@ -2063,19 +1522,19 @@ class BasicRouterSim {
                                [static_cast<std::size_t>(idx)];
     net::apply_update(copy.table, update);
     std::uint64_t cost = 0;
-    ++sh.c.update.applications;
-    ++sh.c.fo.replica_update_applications;
+    ++result_.update.applications;
+    ++result_.failover.replica_update_applications;
     if (Family::fe_supports_update(copy.fe)) {
       if (update.kind == net::UpdateKind::kWithdraw) {
         Family::fe_remove(copy.fe, update.prefix);
       } else {
         Family::fe_insert(copy.fe, update.prefix, update.next_hop);
       }
-      ++sh.c.update.fe_incremental;
+      ++result_.update.fe_incremental;
       cost = config_.update.incremental_cost_cycles;
     } else {
       copy.fe = Family::build_fe(copy.table, config_);
-      ++sh.c.update.fe_rebuilds;
+      ++result_.update.fe_rebuilds;
       cost = config_.update.rebuild_base_cycles +
              copy.table.size() *
                  config_.update.rebuild_millicycles_per_entry / 1000;
@@ -2085,15 +1544,15 @@ class BasicRouterSim {
       server = std::max(server, now) + cost;
     }
     fe_busy_[static_cast<std::size_t>(lc)] += cost;
-    sh.c.update.update_cost_cycles += cost;
+    result_.update.update_cost_cycles += cost;
     if (event.fill && !caches_.empty()) {
-      ++sh.c.fo.acting_primary_applications;
-      invalidate_cache(sh, lc, update);
+      ++result_.failover.acting_primary_applications;
+      invalidate_cache(lc, update);
       for (int other = 0; other < config_.num_lcs; ++other) {
         if (other == lc) continue;
-        ++sh.c.update.invalidation_messages;
-        update_outstanding_[index].fetch_add(1, std::memory_order_relaxed);
-        send_reliable(sh, lc, now + 1,
+        ++result_.update.invalidation_messages;
+        ++update_outstanding_[index];
+        send_reliable(lc, now + 1,
                       Event{Event::Type::kInvalidate, other, Addr{},
                             event.requester, false, net::kNoRoute});
       }
@@ -2101,9 +1560,9 @@ class BasicRouterSim {
     settle_update(index, now);
   }
 
-  void handle_invalidate(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_invalidate(std::uint64_t now, const Event& event) {
     const auto index = static_cast<std::size_t>(event.requester.packet);
-    invalidate_cache(sh, event.lc, updates_[index]);
+    invalidate_cache(event.lc, updates_[index]);
     settle_update(index, now);
   }
 
@@ -2112,37 +1571,23 @@ class BasicRouterSim {
   /// any in-flight fill was either produced after the update applied
   /// (fresh), or was injected before this invalidation by the same home
   /// and therefore already landed (fabric FIFO) and been dropped here.
-  void invalidate_cache(Shard& sh, int lc, const typename Family::Update& update) {
+  void invalidate_cache(int lc, const typename Family::Update& update) {
     Cache& cache = *caches_[static_cast<std::size_t>(lc)];
     if (config_.update_policy == RouterConfig::UpdatePolicy::kSelectiveInvalidate) {
       const std::size_t dropped = cache.invalidate_matching(update.prefix);
-      sh.c.blocks_invalidated += dropped;
-      sh.c.update.blocks_invalidated += dropped;
+      result_.blocks_invalidated += dropped;
+      result_.update.blocks_invalidated += dropped;
     } else {
       cache.flush();
-      ++sh.c.update.cache_flushes;
+      ++result_.update.cache_flushes;
     }
   }
 
   /// One apply/invalidation event of update `index` completed; the last one
-  /// stamps the settle time. Effects complete on different shards, so the
-  /// settle time is accumulated as a CAS-max and stamped by whichever shard
-  /// decrements the outstanding counter to zero — in a solo run event times
-  /// are non-decreasing, so the max equals the last decrementer's `now` and
-  /// the stamp is engine-independent. (Settle times feed only the verify
-  /// excuse window, and verify with churn runs solo anyway.)
+  /// stamps the settle time. Events dispatch in non-decreasing time, so the
+  /// last effect's `now` is the latest of them all.
   void settle_update(std::size_t index, std::uint64_t now) {
-    std::atomic<std::uint64_t>& stamp = update_settle_max_[index];
-    std::uint64_t seen = stamp.load(std::memory_order_relaxed);
-    while (seen < now &&
-           !stamp.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
-    }
-    // acq_rel: the last decrementer's acquire sees every earlier effect's
-    // CAS-max through the RMW release sequence.
-    if (update_outstanding_[index].fetch_sub(1, std::memory_order_acq_rel) ==
-        1) {
-      update_settle_time_[index] = stamp.load(std::memory_order_relaxed);
-    }
+    if (--update_outstanding_[index] == 0) update_settle_time_[index] = now;
   }
 
   // ----- Failover: replication, health, resync, migration ------------------
@@ -2248,84 +1693,84 @@ class BasicRouterSim {
   /// primary while it looks alive, else the first live replica holder (the
   /// observer itself, if it holds one — served locally). Non-alive LCs
   /// encountered on the way are probed, paced per (observer, target).
-  int choose_target(Shard& sh, int observer, int frag, std::uint64_t now) {
+  int choose_target(int observer, int frag, std::uint64_t now) {
     const int primary = serving_lc(frag);
     if (health_.alive(observer, primary)) return primary;
-    maybe_probe(sh, observer, primary, now);
+    maybe_probe(observer, primary, now);
     for (const int r : replica_plan_[static_cast<std::size_t>(frag)]) {
       if (r == observer) return observer;
       if (health_.alive(observer, r)) return r;
-      maybe_probe(sh, observer, r, now);
+      maybe_probe(observer, r, now);
     }
     // Nobody looks alive: keep hammering the primary; the retry/degraded
     // machinery remains the backstop of last resort.
     return primary;
   }
 
-  void maybe_probe(Shard& sh, int observer, int target, std::uint64_t now) {
+  void maybe_probe(int observer, int target, std::uint64_t now) {
     if (!health_.probe_due(observer, target, now)) return;
     health_.probe_sent(observer, target, now, probe_interval_);
-    ++sh.c.fo.probes_sent;
-    ++sh.c.fo.control_messages;
-    send_lossy(sh, observer, target, now + 1,
+    ++result_.failover.probes_sent;
+    ++result_.failover.control_messages;
+    send_lossy(observer, target, now + 1,
                Event{Event::Type::kProbe, target, Addr{},
                      Requester{observer, -1, false}, false, net::kNoRoute});
   }
 
-  void note_timeout(Shard& sh, int observer, int target) {
+  void note_timeout(int observer, int target) {
     switch (health_.note_timeout(observer, target)) {
       case HealthTracker::Transition::kSuspect:
-        ++sh.c.fo.suspect_transitions;
+        ++result_.failover.suspect_transitions;
         break;
       case HealthTracker::Transition::kDown:
-        ++sh.c.fo.down_transitions;
+        ++result_.failover.down_transitions;
         break;
       case HealthTracker::Transition::kNone:
         break;
     }
   }
 
-  void note_alive(Shard& sh, int observer, int target, bool via_probe) {
+  void note_alive(int observer, int target, bool via_probe) {
     if (observer == target) return;
     if (health_.note_alive(observer, target)) {
-      ++sh.c.fo.recoveries;
-      if (via_probe) ++sh.c.fo.rejoins;
+      ++result_.failover.recoveries;
+      if (via_probe) ++result_.failover.rejoins;
     }
   }
 
   /// Re-routed request at a replica holder: serve straight from the
   /// resident copy (no cache interaction here — the result belongs in the
   /// requester's cache, carried back by the reply).
-  void handle_copy_lookup(Shard& sh, std::uint64_t now, const Event& event) {
-    start_fe_job(sh, now, event.lc, event.addr, false, event.requester,
+  void handle_copy_lookup(std::uint64_t now, const Event& event) {
+    start_fe_job(now, event.lc, event.addr, false, event.requester,
                  copy_index(event.lc, event.aux));
   }
 
-  void handle_probe(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_probe(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     if (stale_[static_cast<std::size_t>(lc)] != 0) {
       // A stale rejoiner withholds probe replies until it has caught up —
       // observers keep steering to the replicas — but uses the contact to
       // start fetching its missed updates.
-      maybe_start_resync(sh, lc, now);
+      maybe_start_resync(lc, now);
       return;
     }
-    ++sh.c.fo.probe_replies_sent;
-    ++sh.c.fo.control_messages;
-    send_lossy(sh, lc, event.requester.lc, now + 1,
+    ++result_.failover.probe_replies_sent;
+    ++result_.failover.control_messages;
+    send_lossy(lc, event.requester.lc, now + 1,
                Event{Event::Type::kProbeReply, event.requester.lc, Addr{},
                      Requester{lc, -1, false}, false, net::kNoRoute});
   }
 
-  void handle_probe_reply(Shard& sh, std::uint64_t /*now*/,
+  void handle_probe_reply(std::uint64_t /*now*/,
                           const Event& event) {
-    ++sh.c.fo.probe_replies;
-    note_alive(sh, event.lc, event.requester.lc, /*via_probe=*/true);
+    ++result_.failover.probe_replies;
+    note_alive(event.lc, event.requester.lc, /*via_probe=*/true);
   }
 
   // --- Resync: stream a rejoining LC's missed updates from a live holder.
 
-  void maybe_start_resync(Shard& sh, int lc, std::uint64_t now) {
+  void maybe_start_resync(int lc, std::uint64_t now) {
     if (resyncing_[static_cast<std::size_t>(lc)] != 0) return;
     // The acting source is the first live holder — the same preference
     // order the deferral used, so it has every missed update applied.
@@ -2339,34 +1784,34 @@ class BasicRouterSim {
     }
     if (src < 0) return;  // retry on the next probe contact
     resyncing_[static_cast<std::size_t>(lc)] = 1;
-    ++sh.c.fo.resync_fetches;
-    ++sh.c.fo.control_messages;
-    send_reliable(sh, lc, now + 1,
+    ++result_.failover.resync_fetches;
+    ++result_.failover.control_messages;
+    send_reliable(lc, now + 1,
                   Event{Event::Type::kResyncFetch, src, Addr{},
                         Requester{lc, -1, false}, false, net::kNoRoute, lc});
   }
 
-  void handle_resync_fetch(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_resync_fetch(std::uint64_t now, const Event& event) {
     const int target = event.aux;
     if (resync_sending_[static_cast<std::size_t>(target)] != 0) return;
     resync_sending_[static_cast<std::size_t>(target)] = 1;
-    sh.queue.schedule(now + 1,
-                      Event{Event::Type::kResyncSend, event.lc, Addr{},
-                            Requester{event.lc, -1, false}, false,
-                            net::kNoRoute, target});
+    queue_.schedule(now + 1,
+                    Event{Event::Type::kResyncSend, event.lc, Addr{},
+                          Requester{event.lc, -1, false}, false,
+                          net::kNoRoute, target});
   }
 
   /// Local pacing tick at the streaming holder: emit the next batch of the
   /// target's missed-update queue, then re-arm. The chain stays alive while
   /// entries are chunked-but-unapplied so deferrals that land during the
   /// transfer are streamed too.
-  void handle_resync_send(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_resync_send(std::uint64_t now, const Event& event) {
     const int target = event.aux;
     const auto t = static_cast<std::size_t>(target);
     const auto& queue = missed_updates_[t];
     if (resync_sent_[t] >= queue.size()) {
       if (resync_head_[t] < resync_sent_[t]) {
-        sh.queue.schedule(now + chunk_interval(), event);
+        queue_.schedule(now + chunk_interval(), event);
       } else {
         resync_sending_[t] = 0;
       }
@@ -2375,24 +1820,24 @@ class BasicRouterSim {
     const std::size_t batch =
         std::min(chunk_prefixes(), queue.size() - resync_sent_[t]);
     resync_sent_[t] += batch;
-    ++sh.c.fo.resync_chunks;
-    ++sh.c.fo.control_messages;
-    send_reliable(sh, event.lc, now + 1,
+    ++result_.failover.resync_chunks;
+    ++result_.failover.control_messages;
+    send_reliable(event.lc, now + 1,
                   Event{Event::Type::kResyncChunk, target, Addr{},
                         Requester{event.lc, -1, false}, false, net::kNoRoute,
                         static_cast<std::int32_t>(batch)});
-    sh.queue.schedule(now + chunk_interval(), event);
+    queue_.schedule(now + chunk_interval(), event);
   }
 
-  void handle_resync_chunk(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_resync_chunk(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     const auto l = static_cast<std::size_t>(lc);
     auto& queue = missed_updates_[l];
     for (std::size_t n = static_cast<std::size_t>(event.aux);
          n > 0 && resync_head_[l] < queue.size(); --n) {
       const std::size_t index = queue[resync_head_[l]++];
-      ++sh.c.fo.resync_entries;
-      apply_resync_entry(sh, lc, now, index);
+      ++result_.failover.resync_entries;
+      apply_resync_entry(lc, now, index);
     }
     if (resync_head_[l] >= queue.size()) {
       // Caught up: the cutover back to normal service. From here the LC
@@ -2402,8 +1847,8 @@ class BasicRouterSim {
       resync_sent_[l] = 0;
       stale_[l] = 0;
       resyncing_[l] = 0;
-      ++sh.c.fo.resync_cutovers;
-      ++sh.c.fo.cutovers;
+      ++result_.failover.resync_cutovers;
+      ++result_.failover.cutovers;
     }
   }
 
@@ -2412,25 +1857,25 @@ class BasicRouterSim {
   /// holder broadcast the barrier when the update was deferred) and the
   /// settle releases the token the deferral held — closing the verify
   /// excuse window the stale structure was serving under.
-  void apply_resync_entry(Shard& sh, int lc, std::uint64_t now,
+  void apply_resync_entry(int lc, std::uint64_t now,
                           std::size_t index) {
     const auto& update = updates_[index];
     Table& fragment = lc_tables_[static_cast<std::size_t>(lc)];
     net::apply_update(fragment, update);
     auto& fe = fes_[static_cast<std::size_t>(lc)];
     std::uint64_t cost = 0;
-    ++sh.c.update.applications;
+    ++result_.update.applications;
     if (Family::fe_supports_update(fe)) {
       if (update.kind == net::UpdateKind::kWithdraw) {
         Family::fe_remove(fe, update.prefix);
       } else {
         Family::fe_insert(fe, update.prefix, update.next_hop);
       }
-      ++sh.c.update.fe_incremental;
+      ++result_.update.fe_incremental;
       cost = config_.update.incremental_cost_cycles;
     } else {
       fe = Family::build_fe(fragment, config_);
-      ++sh.c.update.fe_rebuilds;
+      ++result_.update.fe_rebuilds;
       cost = config_.update.rebuild_base_cycles +
              fragment.size() * config_.update.rebuild_millicycles_per_entry /
                  1000;
@@ -2441,8 +1886,8 @@ class BasicRouterSim {
       server = std::max(server, now) + cost;
     }
     fe_busy_[static_cast<std::size_t>(lc)] += cost;
-    sh.c.update.update_cost_cycles += cost;
-    if (!caches_.empty()) invalidate_cache(sh, lc, update);
+    result_.update.update_cost_cycles += cost;
+    if (!caches_.empty()) invalidate_cache(lc, update);
     settle_update(index, now);
   }
 
@@ -2468,7 +1913,7 @@ class BasicRouterSim {
     return std::max<std::uint64_t>(1, config_.migration.chunk_interval_cycles);
   }
 
-  void handle_migrate_start(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_migrate_start(std::uint64_t now, const Event& event) {
     if (!migration_.active) {
       // Operator-initiated transfer: endpoints come from the config. (A
       // rebalancer trigger filled them in before scheduling this event.)
@@ -2480,19 +1925,19 @@ class BasicRouterSim {
     migration_.copying = true;
     const auto entries = migration_source_table().entries();
     migration_.snapshot.assign(entries.begin(), entries.end());
-    sh.queue.schedule(now + 1,
-                      Event{Event::Type::kMigrateSend, event.lc, Addr{},
-                            event.requester, false, net::kNoRoute});
+    queue_.schedule(now + 1,
+                    Event{Event::Type::kMigrateSend, event.lc, Addr{},
+                          event.requester, false, net::kNoRoute});
   }
 
-  void handle_migrate_send(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_migrate_send(std::uint64_t now, const Event& event) {
     if (migration_.final_sent || !migration_.active) return;
     if (config_.rebalancer.enabled &&
         config_.fault.port_down(migration_.dst, now)) {
       // The target died mid-copy: abort instead of streaming into a dead
       // port. Chunks already in flight drain and are discarded; the source
       // keeps serving, so no lookup is lost.
-      abort_migration(sh);
+      abort_migration();
       return;
     }
     const std::size_t remaining =
@@ -2505,17 +1950,17 @@ class BasicRouterSim {
         migration_.snapshot.begin() +
             static_cast<std::ptrdiff_t>(migration_.cursor + batch));
     migration_.cursor += batch;
-    ++sh.c.fo.migration_chunks;
-    ++sh.c.fo.control_messages;
-    sh.c.fo.snapshot_prefixes += batch;
-    send_reliable(sh, event.lc, now + 1,
+    ++result_.failover.migration_chunks;
+    ++result_.failover.control_messages;
+    result_.failover.snapshot_prefixes += batch;
+    send_reliable(event.lc, now + 1,
                   Event{Event::Type::kMigrateChunk, migration_.dst,
                         Addr{}, event.requester, last, net::kNoRoute,
                         static_cast<std::int32_t>(batch)});
     if (last) {
       migration_.final_sent = true;
     } else {
-      sh.queue.schedule(now + chunk_interval(), event);
+      queue_.schedule(now + chunk_interval(), event);
     }
   }
 
@@ -2523,18 +1968,18 @@ class BasicRouterSim {
   /// double-delivery window closes (copying = false) and the state resets —
   /// immediately when nothing is in flight, else when the last in-flight
   /// chunk drains in handle_migrate_chunk.
-  void abort_migration(Shard& sh) {
+  void abort_migration() {
     migration_.aborted = true;
     migration_.copying = false;
     migration_.final_sent = true;
-    ++sh.c.rb.aborted_migrations;
+    ++result_.rebalancer.aborted_migrations;
     if (migration_.chunk_queue.empty()) migration_ = MigrationState{};
   }
 
   /// Snapshot chunk at the target. Chunks from one source port arrive in
   /// send order (non-decreasing raw arrivals, origin_seq tie-break), so the
   /// payload deque pairs up FIFO with the chunk events.
-  void handle_migrate_chunk(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_migrate_chunk(std::uint64_t now, const Event& event) {
     auto chunk = std::move(migration_.chunk_queue.front());
     migration_.chunk_queue.pop_front();
     if (migration_.aborted) {
@@ -2571,10 +2016,10 @@ class BasicRouterSim {
         config_.update.rebuild_base_cycles +
         migration_.staged_table->size() *
             config_.update.rebuild_millicycles_per_entry / 1000;
-    sh.queue.schedule(now + 1 + build,
-                      Event{Event::Type::kMigrateBuilt, event.lc, Addr{},
-                            Requester{event.lc, -1, false}, false,
-                            net::kNoRoute});
+    queue_.schedule(now + 1 + build,
+                    Event{Event::Type::kMigrateBuilt, event.lc, Addr{},
+                          Requester{event.lc, -1, false}, false,
+                          net::kNoRoute});
   }
 
   /// Double-delivered update at the target (requester.packet carries the
@@ -2583,7 +2028,7 @@ class BasicRouterSim {
   /// arrives after a rebalancer cutover (state already reset, structure
   /// moved into hosted_) or after an abort is applied to the hosted
   /// structure or dropped respectively. Every path settles the token.
-  void handle_migrate_delta(Shard& /*sh*/, std::uint64_t now,
+  void handle_migrate_delta(std::uint64_t now,
                             const Event& event) {
     const auto index = static_cast<std::size_t>(event.requester.packet);
     const int frag = event.aux;
@@ -2627,10 +2072,10 @@ class BasicRouterSim {
     settle_update(index, now);
   }
 
-  void handle_migrate_built(Shard& sh, std::uint64_t now, const Event& event) {
-    ++sh.c.fo.cutover_messages;
-    ++sh.c.fo.control_messages;
-    send_reliable(sh, event.lc, now + 1,
+  void handle_migrate_built(std::uint64_t now, const Event& event) {
+    ++result_.failover.cutover_messages;
+    ++result_.failover.control_messages;
+    send_reliable(event.lc, now + 1,
                   Event{Event::Type::kMigrateReady, migration_.src,
                         Addr{}, Requester{event.lc, -1, false}, false,
                         net::kNoRoute});
@@ -2641,20 +2086,20 @@ class BasicRouterSim {
   /// still in flight toward this LC are forwarded to the new home by the
   /// ordinary lookup path (serving_lc no longer names this LC), so no
   /// lookup is lost or answered from the now-frozen source structure.
-  void handle_migrate_ready(Shard& sh, std::uint64_t now, const Event& event) {
+  void handle_migrate_ready(std::uint64_t now, const Event& event) {
     const int from = event.lc;
     const int frag = migration_.frag;
     migration_.copying = false;
     migration_.cut_over = true;
     home_remap_[static_cast<std::size_t>(frag)] = migration_.dst;
-    ++sh.c.fo.migrations;
-    ++sh.c.fo.cutovers;
-    invalidate_for_migration(sh, from, frag);
+    ++result_.failover.migrations;
+    ++result_.failover.cutovers;
+    invalidate_for_migration(from, frag);
     for (int other = 0; other < config_.num_lcs; ++other) {
       if (other == from) continue;
-      ++sh.c.fo.cutover_messages;
-      ++sh.c.fo.control_messages;
-      send_reliable(sh, from, now + 1,
+      ++result_.failover.cutover_messages;
+      ++result_.failover.control_messages;
+      send_reliable(from, now + 1,
                     Event{Event::Type::kCutover, other, Addr{},
                           Requester{from, -1, false}, false, net::kNoRoute,
                           frag});
@@ -2668,25 +2113,25 @@ class BasicRouterSim {
           HostedFragment{frag, std::move(migration_.staged_table),
                          std::move(migration_.staged_fe),
                          std::move(migration_.staged_model)});
-      ++sh.c.rb.completed_migrations;
+      ++result_.rebalancer.completed_migrations;
       migration_ = MigrationState{};
     }
   }
 
-  void handle_cutover(Shard& sh, std::uint64_t /*now*/, const Event& event) {
-    invalidate_for_migration(sh, event.lc, event.aux);
+  void handle_cutover(std::uint64_t /*now*/, const Event& event) {
+    invalidate_for_migration(event.lc, event.aux);
   }
 
   /// Selective invalidation on re-home: drop every cached block whose
   /// address is homed on the migrated fragment (its serving LC changed, so
   /// LOC/REM quota classes and staleness guarantees both moved).
-  void invalidate_for_migration(Shard& sh, int lc, int frag) {
+  void invalidate_for_migration(int lc, int frag) {
     if (caches_.empty()) return;
     const std::size_t dropped =
         caches_[static_cast<std::size_t>(lc)]->invalidate_if(
             [&](const Addr& addr) { return rot_->home_of(addr) == frag; });
-    sh.c.blocks_invalidated += dropped;
-    sh.c.fo.migration_invalidated_blocks += dropped;
+    result_.blocks_invalidated += dropped;
+    result_.failover.migration_invalidated_blocks += dropped;
   }
 
   // --- Online load rebalancer: skew detection + autonomous migration.
@@ -2700,9 +2145,9 @@ class BasicRouterSim {
   /// exactly one skipped_* counter, so
   /// skew_detections == triggered + skipped_in_flight + skipped_no_target
   ///                    + skipped_budget.
-  void handle_rebalance_tick(Shard& sh, std::uint64_t now,
+  void handle_rebalance_tick(std::uint64_t now,
                              const Event& /*event*/) {
-    RebalancerStats& rb = sh.c.rb;
+    RebalancerStats& rb = result_.rebalancer;
     ++rb.windows;
     const std::size_t w =
         static_cast<std::size_t>(now / config_.rebalancer.window_cycles) - 1;
@@ -2782,9 +2227,9 @@ class BasicRouterSim {
     migration_.frag = frag;
     migration_.src = src;
     migration_.dst = dst;
-    sh.queue.schedule(now + 1,
-                      Event{Event::Type::kMigrateStart, src, Addr{},
-                            Requester{src, -1, false}, false, net::kNoRoute});
+    queue_.schedule(now + 1,
+                    Event{Event::Type::kMigrateStart, src, Addr{},
+                          Requester{src, -1, false}, false, net::kNoRoute});
   }
 
   bool arrived_in_outage(std::uint64_t at) const {
@@ -2911,34 +2356,24 @@ class BasicRouterSim {
   std::unique_ptr<fabric::Fabric> fabric_;
   std::unique_ptr<typename Family::Oracle> oracle_;  // verify/degraded modes
 
-  // Run state (reset per run()). Ownership under the sharded engine: the
-  // Shard struct holds everything one worker thread touches exclusively;
-  // the per-LC vectors below are element-owned by the shard of that LC;
-  // the per-packet vectors are element-owned by the shard of the packet's
-  // arrival LC; everything else is either read-only during the run or
-  // explicitly atomic.
-  int shard_count_ = 1;
-  std::uint64_t lookahead_ = 0;                      // fabric min latency
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<bool>* abort_ = nullptr;               // set during run_sharded
-  // Message flux counters for the flux-consistent jump (gvt_jump): sent
-  // counts ring pushes (bumped before the push), drained counts ring pops
-  // (bumped after the pop is integrated into staging and local_next).
-  // Equal counts + an unchanged re-read of sent = no message in flight.
-  alignas(64) std::atomic<std::uint64_t> msgs_sent_{0};
-  alignas(64) std::atomic<std::uint64_t> msgs_drained_{0};
+  // Run state (reset per run()).
+  sim::CalendarQueue<Event> queue_;
+  std::vector<InFlightMsg> inflight_;  // min-heap via InFlightAfter
+  WaitMap waiting_;
+  std::vector<typename WaitMap::node_type> wait_pool_;
+  std::vector<Requester> wait_scratch_;
+  std::unordered_map<std::uint64_t, PendingRequest> pending_;  // by seq
+  MemoryCounters memory_counters_;  // folded into result_.memory
   std::vector<std::uint64_t> cache_port_free_;       // per LC
   std::vector<std::vector<std::uint64_t>> fe_free_;  // per LC, per FE server
   std::vector<std::uint64_t> fe_busy_;               // per LC, busy cycles
   std::vector<std::uint64_t> request_seq_;           // per LC, fault-mode seqs
-  std::vector<std::uint64_t> send_seq_;              // per LC, staging order
+  std::vector<std::uint64_t> send_seq_;              // per LC, commit order
   std::uint64_t timeout_base_ = 0;
   std::vector<std::uint64_t> waiting_depth_;  // per LC, currently parked
   std::vector<std::uint64_t> arrival_time_;          // per packet
   std::vector<int> arrival_lc_;                      // per packet
   std::vector<Addr> destinations_;                   // per packet
-  // uint8_t, not vector<bool>: neighbouring packets can belong to different
-  // shards, and bit-packing would make their flags share a byte.
   std::vector<std::uint8_t> resolved_;               // per packet
   std::uint64_t next_flush_ = 0;
   std::mt19937_64 update_rng_;
@@ -2949,16 +2384,13 @@ class BasicRouterSim {
   std::vector<Table> lc_tables_;
   std::vector<std::uint64_t> update_inject_time_;   // per update
   std::vector<std::uint64_t> update_settle_time_;   // kSettlePending in flight
-  std::unique_ptr<std::atomic<std::uint32_t>[]> update_outstanding_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> update_settle_max_;
+  std::vector<std::uint32_t> update_outstanding_;   // effects not yet done
   bool fes_dirty_ = false;
   bool oracle_dirty_ = false;
   bool verify_ = false;
   // Failover subsystem. The replica plan and copies persist across runs
   // like the FEs (copies_dirty_ makes run() rebuild what updates mutated);
-  // everything below them is per-run. Sharded-engine ownership: health
-  // rows are observer-owned, copies/copy models are holder-owned, and the
-  // resync/migration state is only ever touched by solo-engine handlers.
+  // everything below them is per-run.
   std::vector<std::vector<int>> replica_plan_;    // fragment -> holder LCs
   std::vector<std::vector<ReplicaCopy>> copies_;  // per holder LC
   std::vector<std::vector<MemoryModel>> copy_models_;  // parallel to copies_
@@ -2974,8 +2406,7 @@ class BasicRouterSim {
   std::vector<std::size_t> resync_sent_;      // per LC: entries chunked
   std::vector<std::size_t> resync_head_;      // per LC: entries applied
   MigrationState migration_;
-  /// Fragments re-homed here by rebalancer cutovers (per host LC). Solo-
-  /// engine state, like the migration machinery that fills it.
+  /// Fragments re-homed here by rebalancer cutovers (per host LC).
   std::vector<std::vector<HostedFragment>> hosted_;
   /// Rebalancer: offered lookups per [window][fragment], precomputed in
   /// run() from the arrival schedule and the static home mapping.

@@ -5,10 +5,8 @@
 // itself sees: a request timeout against a target bumps its streak
 // (alive → suspect at `suspect_after` consecutive timeouts, suspect → down
 // at `down_after`), and any reply or probe reply from the target resets it
-// to alive. Rows are observer-owned, so in the sharded engine each row is
-// read and written only by the shard that owns the observing LC — no locks,
-// and the canonical event order makes the state evolution bit-identical to
-// the sequential engine.
+// to alive. Rows are observer-private: an observer's view changes only on
+// evidence that observer received.
 //
 // Probing: an observer that finds a target non-alive may send it a probe,
 // paced by `probe_interval` per (observer, target) pair. The tracker only
@@ -25,8 +23,8 @@ enum class PeerState : std::uint8_t { kAlive, kSuspect, kDown };
 
 class HealthTracker {
  public:
-  /// State-machine edge reported back to the caller so it can keep
-  /// shard-local transition counters.
+  /// State-machine edge reported back to the caller so it can count
+  /// transitions.
   enum class Transition : std::uint8_t { kNone, kSuspect, kDown };
 
   HealthTracker() = default;

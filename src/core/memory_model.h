@@ -56,8 +56,8 @@ struct MemoryModelConfig {
   static std::vector<MemoryTier> default_tiers();
 };
 
-/// Per-shard accumulation of memory-model activity; merged into
-/// RouterResult::memory after the run (same discipline as ShardCounters).
+/// Run-time accumulation of memory-model activity; folded into
+/// RouterResult::memory after the run.
 struct MemoryCounters {
   std::uint64_t lookups = 0;         ///< counted FE lookups priced
   std::uint64_t charged_cycles = 0;  ///< total service cycles, overhead incl.

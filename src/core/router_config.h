@@ -11,7 +11,6 @@
 #include "fabric/fabric.h"
 #include "partition/partition6.h"
 #include "partition/rot_partition.h"
-#include "sim/calendar_queue.h"
 #include "sim/metrics.h"
 #include "trie/lpm.h"
 
@@ -29,26 +28,6 @@ struct RouterConfig {
 
   trie::TrieKind trie = trie::TrieKind::kLulea;
   trie::LpmBuildOptions trie_options;
-
-  /// Event-queue implementation driving the simulation. Both engines pop
-  /// events in the identical (time, insertion-seq) order, so results are
-  /// bit-identical; the calendar queue is O(1) amortized per event and is
-  /// the default. kHeap remains for A/B measurement and as a reference.
-  sim::EngineKind engine = sim::EngineKind::kCalendar;
-
-  /// How the event engine executes. kSequential runs every LC's events in
-  /// one global queue on the calling thread — the bit-identity oracle.
-  /// kSharded splits the LCs across worker threads, each owning its LCs'
-  /// queue, cache, FE, and trie fragment, exchanging fabric messages over
-  /// SPSC rings under a conservative-lookahead protocol; its
-  /// RouterResult::to_json() is byte-identical to kSequential.
-  /// Configurations the sharded engine cannot reproduce exactly (periodic
-  /// cache flushes, verify-under-churn) silently fall back to one shard.
-  enum class ExecutionMode : std::uint8_t { kSequential, kSharded };
-  ExecutionMode execution = ExecutionMode::kSequential;
-  /// Worker threads for kSharded: 0 = one per hardware thread, clamped to
-  /// [1, num_lcs]. Thread count never affects results, only wall-clock.
-  int threads = 0;
 
   bool partition = true;               ///< SPAL table fragmentation
   partition::PartitionConfig partition_config;
@@ -110,7 +89,7 @@ struct RouterConfig {
   /// `to` has built the staged FE the fragment is cut over (home lookups
   /// re-map to `to`, every LR-cache drops blocks homed on the fragment).
   /// The same copy-then-cutover machinery resyncs a rejoining LC that
-  /// missed updates during an outage. Forces the sequential engine.
+  /// missed updates during an outage.
   struct MigrationConfig {
     bool enabled = false;
     int from = -1;
@@ -130,9 +109,9 @@ struct RouterConfig {
   /// one migration is in flight at a time and at most `max_migrations` per
   /// run; every decision is ledgered in RebalancerStats (skew_detections ==
   /// migrations_triggered + every skip, audited by `spal_report --check`).
-  /// Mutually exclusive with `migration` (operator-initiated). Forces the
-  /// sequential engine. Disabled (default) leaves every run and report
-  /// byte-identical to builds without the subsystem.
+  /// Mutually exclusive with `migration` (operator-initiated). Disabled
+  /// (default) leaves every run and report byte-identical to builds without
+  /// the subsystem.
   struct RebalancerConfig {
     bool enabled = false;
     std::uint64_t window_cycles = 50'000;  ///< sampling window length

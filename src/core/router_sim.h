@@ -123,11 +123,8 @@ class RouterSim {
   }
 
   const RouterConfig& config() const { return impl_.config(); }
-  /// How many shards (worker threads) run() would use; 1 under kSequential
-  /// or when the configuration forces the solo engine (see BasicRouterSim).
-  int planned_shards(bool verify = false) const {
-    return impl_.planned_shards(verify);
-  }
+  /// Worker threads run() uses: always 1 (one event loop per run).
+  int planned_shards(bool /*verify*/ = false) const { return 1; }
   /// Partition diagnostics (control bits, per-LC table sizes).
   const partition::RotPartition& rot() const { return impl_.partition(); }
   /// Per-LC forwarding-trie storage in bytes.

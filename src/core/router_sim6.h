@@ -105,10 +105,8 @@ class RouterSim6 {
   }
 
   const RouterConfig& config() const { return impl_.config(); }
-  /// How many shards (worker threads) run() would use; see BasicRouterSim.
-  int planned_shards(bool verify = false) const {
-    return impl_.planned_shards(verify);
-  }
+  /// Worker threads run() uses: always 1 (one event loop per run).
+  int planned_shards(bool /*verify*/ = false) const { return 1; }
   const partition::RotPartition6& rot() const { return impl_.partition(); }
   std::vector<std::size_t> trie_storage_bytes() const {
     return impl_.fe_storage_bytes();

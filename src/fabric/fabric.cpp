@@ -130,9 +130,9 @@ void Fabric::reconfigure(const FabricConfig& config, const FaultConfig& faults) 
 
 Egress Fabric::egress(int src, std::uint64_t now) {
   EgressPort& port = egress_[static_cast<std::size_t>(src)];
-  // Each shard's event loop hands out non-decreasing times and callers
-  // inject at `now` or `now + 1`, so legal injection times regress by at
-  // most one cycle per source port. Anything further back is an
+  // The event loop hands out non-decreasing times and callers inject at
+  // `now` or `now + 1`, so legal injection times regress by at most one
+  // cycle per source port. Anything further back is an
   // out-of-order caller whose waits would silently inflate the queueing
   // statistics — reject it.
   if (now + 1 < port.last_injection) {

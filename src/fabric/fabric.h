@@ -20,18 +20,17 @@
 // default) the fault RNG is never consumed and try_deliver() is
 // bit-identical to deliver().
 //
-// Two-phase delivery and shard ownership: a message's timing decomposes
-// into a source half (egress serialization, traversal latency, the fault
-// draws) and a destination half (ingress serialization). egress() /
-// egress_lossy() touch only source-port state and ingress_commit() touches
-// only destination-port state, so the sharded router engine can run the
-// egress phase on the sending LC's thread and the ingress phase on the
-// receiving LC's thread with no locks: all mutable per-port state —
-// occupancy, statistics, the fault RNG (one per source port, so draw order
-// is a deterministic per-source stream independent of cross-port
-// interleaving) — lives in cache-line-aligned per-port structs owned by
-// exactly one shard. deliver()/try_deliver() remain as the sequential
-// composition of the two phases.
+// Two-phase delivery: a message's timing decomposes into a source half
+// (egress serialization, traversal latency, the fault draws) and a
+// destination half (ingress serialization). egress() / egress_lossy() touch
+// only source-port state and ingress_commit() only destination-port state.
+// The router core runs egress when a handler sends and holds the message
+// until it commits ingress in a canonical (raw arrival, origin LC, origin
+// sequence) order, so each destination port's queueing does not depend on
+// the order handlers happened to send in. The fault RNG is one stream per
+// source port, so draw order is a deterministic per-source sequence.
+// deliver()/try_deliver() remain as the direct composition of the two
+// phases.
 #pragma once
 
 #include <cstdint>
@@ -125,13 +124,13 @@ struct Egress {
 /// Stateful port-contention model: deliver() returns the arrival time of a
 /// message injected at `now`, accounting for egress/ingress serialization.
 /// Per source port, calls must be made in non-decreasing `now` order; the
-/// DES event loop guarantees per-shard time order, and the router's request
-/// path injects at `now + 1`, so injection times may step back by at most
-/// one cycle between calls. egress() enforces that bound explicitly (throws
+/// DES event loop guarantees time order, and the router's request path
+/// injects at `now + 1`, so injection times may step back by at most one
+/// cycle between calls. egress() enforces that bound explicitly (throws
 /// std::logic_error) instead of silently folding a time regression into the
 /// queueing statistics. Per destination port, ingress_commit() must see
-/// non-decreasing raw arrivals — the sharded engine guarantees this by
-/// committing staged messages in canonical arrival order.
+/// non-decreasing raw arrivals — the router core guarantees this by
+/// committing in-flight messages in canonical arrival order.
 class Fabric {
  public:
   explicit Fabric(const FabricConfig& config, const FaultConfig& faults = {});
@@ -143,8 +142,8 @@ class Fabric {
 
   /// egress() with the loss layer applied first: the message may vanish to
   /// an outage window covering `now` at either endpoint or to a random drop
-  /// (charged to src). Touches only src-owned state — outage windows are
-  /// immutable config, so checking dst's window is thread-safe.
+  /// (charged to src). Touches only src-port state (outage windows are
+  /// immutable config).
   Egress egress_lossy(int src, int dst, std::uint64_t now);
 
   /// Destination-side half: ingress serialization at `dst`. Returns the
@@ -175,13 +174,11 @@ class Fabric {
 
   double latency_cycles() const { return latency_; }
 
-  /// Minimum cycles between a message's injection and its raw arrival —
-  /// the conservative lookahead window for the sharded engine (jitter and
-  /// queueing only push arrivals later).
+  /// Minimum cycles between a message's injection and its raw arrival
+  /// (jitter and queueing only push arrivals later).
   std::uint64_t min_lookahead() const { return min_lookahead_; }
 
-  /// Aggregates the per-port counters into the legacy global view. Returns
-  /// by value; call only while no egress/ingress is concurrently in flight.
+  /// Aggregates the per-port counters into the legacy global view.
   FabricStats stats() const;
 
   const FabricConfig& config() const { return config_; }
@@ -189,8 +186,8 @@ class Fabric {
   bool faults_enabled() const { return faults_.enabled; }
 
  private:
-  /// All mutable source-side state, one cache line group per port so
-  /// different shards never share a line.
+  /// All mutable source-side state of one port. Cache-line aligned: the
+  /// eight counters below then fill exactly one line.
   struct alignas(64) EgressPort {
     std::uint64_t free = 0;            ///< next free injection cycle
     std::uint64_t last_injection = 0;  ///< monotonicity guard (slack 1)

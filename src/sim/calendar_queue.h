@@ -20,10 +20,11 @@
 //     the whole horizon fits in one lap up front.
 //
 // Ordering contract: pops come out in exactly the same (time, insertion-seq)
-// order as EventQueue — equal-time events pop FIFO. Every pop resolves the
-// head by an explicit (time, seq) comparison between the ready lane and the
-// overflow heap, so the two engines produce bit-identical simulations by
-// construction, independent of resize or migration timing.
+// order as EventQueue (engine.h) — equal-time events pop FIFO. Every pop
+// resolves the head by an explicit (time, seq) comparison between the ready
+// lane and the overflow heap, so the order is independent of resize or
+// migration timing. EventQueue is the reference the tests and
+// bench_engine_micro check this queue against.
 #pragma once
 
 #include <algorithm>
@@ -33,15 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.h"
-
 namespace spal::sim {
-
-/// Which event-queue implementation a simulation run uses.
-enum class EngineKind : std::uint8_t {
-  kHeap,      ///< binary heap (EventQueue), O(log n) per event
-  kCalendar,  ///< calendar queue (CalendarQueue), O(1) amortized
-};
 
 template <typename Event>
 class CalendarQueue {
@@ -108,7 +101,7 @@ class CalendarQueue {
     Entry entry = from_heap ? pop_heap_entry() : std::move(ready_[ready_pos_++]);
     --size_;
     // Keep the drain cursor monotone so later schedules classify against
-    // the true simulation frontier even through heap-only stretches.
+    // the true simulation clock even through heap-only stretches.
     cur_ = std::max(cur_, entry.time);
     if (ready_pos_ >= ready_.size()) {
       if (wheel_count_ > 0) {
@@ -243,7 +236,7 @@ class CalendarQueue {
   }
 
   /// The wheel ran dry but the overflow heap has not: jump the cursor to
-  /// the heap's frontier, move everything due at or before it into the
+  /// the heap's earliest time, move everything due at or before it into the
   /// ready lane (heap pops arrive (time, seq)-sorted), and stage the next
   /// lap of overflow into the now-empty buckets so the drain continues on
   /// the O(1) path. Precondition: ready drained, wheel_count_ == 0.
@@ -330,51 +323,6 @@ class CalendarQueue {
   std::size_t wheel_count_ = 0;   ///< undrained entries filed in buckets_
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
-};
-
-/// Runtime-selectable event queue: holds both engines and dispatches on the
-/// kind chosen at reset() time. The branch is perfectly predicted in the hot
-/// loop; payload handling is identical either way.
-template <typename Event>
-class AnyEventQueue {
- public:
-  void reset(EngineKind kind, std::size_t expected_events,
-             std::uint64_t horizon = 0) {
-    kind_ = kind;
-    heap_ = {};
-    calendar_ = CalendarQueue<Event>{};
-    if (kind_ == EngineKind::kHeap) {
-      heap_.reserve(expected_events);
-    } else {
-      calendar_.reserve(expected_events, horizon);
-    }
-  }
-
-  void schedule(std::uint64_t time, Event event) {
-    if (kind_ == EngineKind::kHeap) {
-      heap_.schedule(time, std::move(event));
-    } else {
-      calendar_.schedule(time, std::move(event));
-    }
-  }
-
-  bool empty() const {
-    return kind_ == EngineKind::kHeap ? heap_.empty() : calendar_.empty();
-  }
-  std::size_t size() const {
-    return kind_ == EngineKind::kHeap ? heap_.size() : calendar_.size();
-  }
-  std::uint64_t next_time() const {
-    return kind_ == EngineKind::kHeap ? heap_.next_time() : calendar_.next_time();
-  }
-  std::pair<std::uint64_t, Event> pop() {
-    return kind_ == EngineKind::kHeap ? heap_.pop() : calendar_.pop();
-  }
-
- private:
-  EngineKind kind_ = EngineKind::kCalendar;
-  EventQueue<Event> heap_;
-  CalendarQueue<Event> calendar_;
 };
 
 }  // namespace spal::sim

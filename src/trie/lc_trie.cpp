@@ -20,8 +20,8 @@ inline std::uint32_t extract(int pos, int count, std::uint32_t word) {
 inline void prefetch(const void* address) { __builtin_prefetch(address, 0, 3); }
 
 /// Below this many base entries the bulk build runs its per-pattern subtree
-/// pass inline: small builds (including shard-thread epoch rebuilds, which
-/// must not spawn nested pools) gain nothing from the sweep pool.
+/// pass inline: small builds (including epoch rebuilds of per-LC fragments)
+/// gain nothing from the sweep pool.
 constexpr std::size_t kParallelBuildMin = 65536;
 
 /// Root patterns handled per sweep task; 256 keeps task count well above

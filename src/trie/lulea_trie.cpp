@@ -271,9 +271,8 @@ void LuleaTrie::build_reference(const net::RouteTable& table) {
 }
 
 void LuleaTrie::build_bulk(const net::RouteTable& table) {
-  // Below this many entries the sweep-pool fan-out costs more than it buys
-  // (and epoch rebuilds of small per-LC fragments must not spawn a pool from
-  // inside a shard worker); the same code runs inline on one thread.
+  // Below this many entries the sweep-pool fan-out costs more than it buys;
+  // the same code runs inline on one thread.
   constexpr std::size_t kBulkParallelMin = 65536;
   constexpr std::size_t kSlotBatch = 256;  // slots per worker task
 

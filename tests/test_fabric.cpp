@@ -113,16 +113,15 @@ TEST(Fabric, InjectionTimeMaySlipBackOneCycle) {
 }
 
 TEST(Fabric, InjectionTimeRegressionBeyondSlackThrows) {
-  // The guard is per source port: each shard owns its LCs' egress ports and
-  // hands out non-decreasing times for them, so only a same-port regression
-  // is an ordering bug.
+  // The guard is per source port: only a same-port regression is an
+  // ordering bug.
   FabricConfig config;
   config.ports = 4;
   Fabric fabric(config);
   (void)fabric.deliver(0, 1, 100);
   EXPECT_THROW(fabric.deliver(0, 3, 98), std::logic_error);
-  // A different source port has its own clock: shards progress at different
-  // simulated times, so cross-port regression is legal by design.
+  // A different source port has its own clock, so cross-port regression is
+  // legal by design.
   EXPECT_NO_THROW(fabric.deliver(2, 3, 0));
   // reset() restarts the clocks, so earlier times are legal again.
   fabric.reset();
@@ -300,8 +299,9 @@ TEST(FabricFaults, SeededDropsAreReproducibleAcrossReset) {
 }
 
 TEST(Fabric, SplitPhasesComposeToDeliver) {
-  // The sharded engine runs egress at the source shard and ingress_commit at
-  // the destination shard; run back-to-back they must be deliver() exactly.
+  // The router core runs egress when a handler sends and ingress_commit when
+  // the message leaves its in-flight heap; run back-to-back they must be
+  // deliver() exactly.
   FabricConfig config;
   config.ports = 4;
   Fabric split(config);

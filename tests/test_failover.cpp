@@ -205,26 +205,6 @@ TEST(Failover, ZeroReplicasIsByteIdenticalToPlainFaultRun) {
   EXPECT_EQ(ja, jb);
 }
 
-TEST(Failover, ReplicatedRunsAreShardedByteIdentical) {
-  // R > 0 with faults: the health rows are observer-owned, so the sharded
-  // engine must reproduce the sequential oracle exactly.
-  RouterConfig config = failover_config(4);
-  config.fault.drop_probability = 0.02;
-  add_outage(config, 1);
-  config.replication.replicas = 1;
-  RouterSim oracle(small_table(), config);
-  const std::string expected =
-      oracle.run_workload(small_profile(), true).to_json();
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    RouterConfig sharded = config;
-    sharded.execution = RouterConfig::ExecutionMode::kSharded;
-    sharded.threads = threads;
-    RouterSim router(small_table(), sharded);
-    EXPECT_EQ(router.run_workload(small_profile(), true).to_json(), expected);
-  }
-}
-
 // ----- Outage failover -----------------------------------------------------
 
 TEST(Failover, OutageReroutesToReplicaAndBoundsLatency) {

@@ -1,7 +1,7 @@
 // Differential and ledger tests for the online load rebalancer
 // (RouterConfig::rebalancer). The load-bearing properties:
 //   * a disabled rebalancer (even with every knob armed) is byte-identical
-//     to the baseline on both engines, as is a uniform-weight partition;
+//     to the baseline, as is a uniform-weight partition;
 //   * with the rebalancer migrating fragments mid-trace, every resolved
 //     next hop still agrees with the full-table binary-trie oracle (verify
 //     mode), across Zipf and flash-crowd workloads, fuzzed seeds, and live
@@ -85,9 +85,9 @@ void expect_rebalancer_ledger(const RouterResult& result,
 
 // ----- Disabled-rebalancer byte-identity -----------------------------------
 
-TEST(RebalancerOracle, DisabledIsByteIdenticalOnBothEngines) {
+TEST(RebalancerOracle, DisabledIsByteIdentical) {
   // Arming every rebalancer knob while leaving `enabled` off must not
-  // perturb a run in any way, on the sequential and the sharded engine.
+  // perturb a run in any way.
   RouterConfig plain = core::spal_default_config(4);
   plain.packets_per_lc = 1'500;
   RouterConfig armed = plain;
@@ -96,19 +96,10 @@ TEST(RebalancerOracle, DisabledIsByteIdenticalOnBothEngines) {
   armed.rebalancer.max_migrations = 64;
   armed.rebalancer.inject_stale = true;  // dormant without `enabled`
 
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "sequential");
-    RouterConfig a = plain;
-    RouterConfig b = armed;
-    if (sharded) {
-      a.execution = b.execution = RouterConfig::ExecutionMode::kSharded;
-      a.threads = b.threads = 4;
-    }
-    RouterSim ra(small_table(), a);
-    RouterSim rb(small_table(), b);
-    EXPECT_EQ(ra.run_workload(zipf_profile(), true).to_json(),
-              rb.run_workload(zipf_profile(), true).to_json());
-  }
+  RouterSim ra(small_table(), plain);
+  RouterSim rb(small_table(), armed);
+  EXPECT_EQ(ra.run_workload(zipf_profile(), true).to_json(),
+            rb.run_workload(zipf_profile(), true).to_json());
 }
 
 TEST(RebalancerOracle, UniformPartitionWeightsAreByteIdentical) {

@@ -17,10 +17,6 @@
 //       are checked against that schema instead: positive timings, rate and
 //       speedup consistent with ns_per_lookup, batch == scalar results, and
 //       a non-empty `simd` dispatch level on every point.
-//       Points carrying an `engine` field (bench_parallel) additionally
-//       require threads/shards >= 1, positive wall_ms and speedup, and
-//       `identical == true` — a sharded run that diverged from the
-//       sequential oracle fails the report even if its timings look fine.
 //       bench_scale points carry their own kinds: `"kind": "scale_build"`
 //       (positive table_size/build_ms/storage, speedup == baseline/build)
 //       and `"kind": "tier_curve"` (per-LC byte bounds ordered, mean
@@ -880,33 +876,6 @@ void check_partition_balance(CheckContext& ctx, const JsonValue& result) {
   }
 }
 
-/// bench_parallel point: engine/threads/shards/wall_ms/speedup/identical live
-/// at the point level (the 'result' is a normal RouterResult, checked by the
-/// caller). Bit-identity with the sequential oracle is a hard invariant —
-/// `identical == false` fails the report regardless of the speedup numbers.
-void check_parallel_point(CheckContext& ctx, const JsonValue& point,
-                          const JsonValue& engine) {
-  if (engine.kind != JsonValue::Kind::kString ||
-      (engine.string != "sequential" && engine.string != "sharded")) {
-    ctx.fail("engine: expected \"sequential\" or \"sharded\"");
-  }
-  const double threads = require(ctx, point, {"threads"});
-  const double shards = require(ctx, point, {"shards"});
-  const double wall_ms = require(ctx, point, {"wall_ms"});
-  const double speedup = require(ctx, point, {"speedup"});
-  if (threads < 1) ctx.fail("threads: %.0f below 1", threads);
-  if (shards < 1) ctx.fail("shards: %.0f below 1", shards);
-  if (wall_ms <= 0.0) ctx.fail("wall_ms: %g not positive", wall_ms);
-  if (speedup <= 0.0) ctx.fail("speedup: %g not positive", speedup);
-  const JsonValue* identical = point.find("identical");
-  if (identical == nullptr || identical->kind != JsonValue::Kind::kBool) {
-    ctx.fail("missing boolean 'identical'");
-  } else if (!identical->boolean) {
-    ctx.fail("sharded result diverged from the sequential oracle "
-             "(identical == false)");
-  }
-}
-
 bool load_report(const char* path, JsonValue& out) {
   std::string text;
   if (!load_file(path, text)) {
@@ -943,11 +912,6 @@ int run_check(const char* path) {
     if (result == nullptr) {
       ctx.fail("point has no 'result' object");
       continue;
-    }
-    // bench_parallel points carry the engine/timing fields at the point
-    // level; their 'result' is a normal RouterResult, checked below.
-    if (const JsonValue* engine = point.find("engine")) {
-      check_parallel_point(ctx, point, *engine);
     }
     const JsonValue* kind = result->find("kind");
     if (kind != nullptr && kind->string == "lpm_batch") {
