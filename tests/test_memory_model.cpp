@@ -158,6 +158,104 @@ TEST(MemoryModelRouter, EnabledRunKeepsConservationLedger) {
   EXPECT_NE(result.to_json().find("\"memory\""), std::string::npos);
 }
 
+// Non-home structures — replica copies, a migration's staged structure,
+// rebalancer-hosted fragments — pack into their LC's hierarchy behind the
+// bytes already resident there. On RT_2 at ψ = 8 with a 1 MiB SRAM tier
+// the own FEs fill SRAM and every non-home structure lands in l2, so a
+// change to the placement order moves bytes (and priced accesses) between
+// tiers. The figures below pin that order for the three features that
+// create non-home structures.
+struct TierFigures {
+  std::uint64_t placed_bytes;
+  std::uint64_t placed_arenas;
+  std::uint64_t accesses;
+  std::uint64_t cycles;
+};
+
+core::RouterConfig non_home_config() {
+  core::RouterConfig config = core::spal_default_config(8);
+  config.trie = trie::TrieKind::kDp;
+  config.packets_per_lc = 5'000;
+  config.memory.enabled = true;
+  config.memory.tiers = {{"sram", std::uint64_t{1} << 20, 2},
+                         {"l2", std::uint64_t{2} << 20, 8},
+                         {"dram", 0, 70}};
+  config.update.interval_cycles = 200;
+  config.update.count = 250;
+  config.update_policy = core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;
+  return config;
+}
+
+void expect_placement(const core::RouterConfig& config,
+                      const trace::WorkloadProfile& profile,
+                      const std::vector<TierFigures>& expected) {
+  static const net::RouteTable table = net::make_rt2();
+  core::RouterSim router(table, config);
+  const core::RouterResult result =
+      router.run_workload(profile, /*verify=*/true);
+  EXPECT_EQ(result.resolved_packets,
+            static_cast<std::uint64_t>(config.num_lcs) * config.packets_per_lc);
+  EXPECT_EQ(result.verify_mismatches, 0u);
+  const core::MemoryStats& mem = result.memory;
+  ASSERT_TRUE(mem.enabled);
+  EXPECT_EQ(mem.lookups, result.fe_lookups);
+  EXPECT_EQ(mem.matching_cycles, mem.lookups * mem.matching_overhead_cycles);
+  std::uint64_t tier_cycles = 0, placed = 0;
+  for (const auto& tier : mem.tiers) {
+    tier_cycles += tier.cycles;
+    placed += tier.placed_bytes;
+  }
+  EXPECT_EQ(mem.charged_cycles, mem.matching_cycles + tier_cycles);
+  EXPECT_EQ(placed, mem.storage_bytes);
+  std::uint64_t busy = 0;
+  for (const auto& lc : result.per_lc) busy += lc.fe_busy_cycles;
+  EXPECT_EQ(busy, mem.charged_cycles + result.update.update_cost_cycles);
+  ASSERT_EQ(mem.tiers.size(), expected.size());
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    SCOPED_TRACE(mem.tiers[t].name);
+    EXPECT_EQ(mem.tiers[t].placed_bytes, expected[t].placed_bytes);
+    EXPECT_EQ(mem.tiers[t].placed_arenas, expected[t].placed_arenas);
+    EXPECT_EQ(mem.tiers[t].accesses, expected[t].accesses);
+    EXPECT_EQ(mem.tiers[t].cycles, expected[t].cycles);
+  }
+}
+
+TEST(MemoryModelRouter, ReplicaCopiesPackBehindTheOwnFe) {
+  core::RouterConfig config = non_home_config();
+  config.replication.replicas = 1;
+  config.fault.enabled = true;
+  config.fault.outages.push_back(fabric::OutageWindow{1, 10'000, 30'000});
+  expect_placement(config, trace::profile_d75(),
+                   {{4'969'020, 8, 21'020, 42'040},
+                    {4'969'020, 8, 4'167, 33'336},
+                    {0, 0, 0, 0}});
+}
+
+TEST(MemoryModelRouter, StagedMigrationPacksBehindTheTargetsResidents) {
+  core::RouterConfig config = non_home_config();
+  config.migration.enabled = true;
+  config.migration.from = 1;
+  config.migration.to = 2;
+  config.migration.start_cycle = 3'000;
+  config.migration.chunk_interval_cycles = 50;
+  expect_placement(config, trace::profile_d75(),
+                   {{4'969'104, 8, 20'400, 40'800},
+                    {634'032, 1, 2'356, 18'848},
+                    {0, 0, 0, 0}});
+}
+
+TEST(MemoryModelRouter, HostedFragmentsPackBehindTheHostsResidents) {
+  core::RouterConfig config = non_home_config();
+  config.rebalancer.enabled = true;
+  config.rebalancer.window_cycles = 6'000;
+  config.rebalancer.skew_threshold = 1.1;
+  config.rebalancer.max_migrations = 8;
+  expect_placement(config, trace::profile_zipf1(),
+                   {{4'969'146, 8, 74'064, 148'128},
+                    {4'962'636, 8, 12'077, 96'616},
+                    {0, 0, 0, 0}});
+}
+
 // A disabled model must leave the report schema untouched — existing-size
 // figures stay byte-identical to a build without the model.
 TEST(MemoryModelRouter, DisabledRunEmitsNoMemoryObject) {
