@@ -292,6 +292,9 @@ struct FailoverStats {
   std::uint64_t migrations = 0;
   std::uint64_t migration_chunks = 0;
   std::uint64_t snapshot_prefixes = 0;
+  /// Updates the migration machinery carried to a fragment's new home:
+  /// in-copy deltas double-delivered to the target, plus applies forwarded
+  /// from an LC the fragment had already left.
   std::uint64_t double_delivered_updates = 0;
   std::uint64_t cutover_messages = 0;  ///< ready + cutover broadcast msgs
   std::uint64_t migration_invalidated_blocks = 0;

@@ -1,7 +1,8 @@
 // The IPv6 SPAL router — the end-to-end form of the paper's Sec. 6 claim
 // that SPAL "is feasibly applicable to IPv6". Identical lookup flow to the
 // IPv4 router (basic_router_sim.h): 128-bit destinations, RotPartition6
-// fragmentation, BasicLrCache<Ipv6Addr> LR-caches, BinaryTrie6 FEs.
+// fragmentation, BasicLrCache<Ipv6Addr> LR-caches, DpTrie6 FEs (with the
+// full-table BinaryTrie6 as the verify/degraded oracle).
 //
 // Configuration notes vs. the IPv4 router:
 //   * `config.trie` / `config.trie_options` are ignored — the v6 FE is the

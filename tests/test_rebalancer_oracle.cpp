@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/router_sim.h"
@@ -207,14 +209,24 @@ TEST(RebalancerOracle, InjectedStalenessIsCaughtByVerify) {
 
 // ----- Config validation ---------------------------------------------------
 
+// A misconfigured migration or rebalancer is rejected by the constructor,
+// before any FE is built — never first discovered inside run().
 TEST(RebalancerOracle, RejectsUnpartitionedAndConflictingConfigs) {
   const net::RouteTable table = small_table();
+  const auto expect_rejected = [&](const RouterConfig& config) {
+    EXPECT_THROW(RouterSim(table, config), std::invalid_argument);
+  };
   {
     // Rebalancing a single-LC router is meaningless.
     RouterConfig config = rebalancer_config(4);
     config.num_lcs = 1;
-    RouterSim router(table, config);
-    EXPECT_THROW(router.run_workload(zipf_profile()), std::invalid_argument);
+    expect_rejected(config);
+  }
+  {
+    // ... as is rebalancing an unpartitioned one: every LC holds it all.
+    RouterConfig config = rebalancer_config(4);
+    config.partition = false;
+    expect_rejected(config);
   }
   {
     // Operator migration and the rebalancer both own the migration state
@@ -223,14 +235,45 @@ TEST(RebalancerOracle, RejectsUnpartitionedAndConflictingConfigs) {
     config.migration.enabled = true;
     config.migration.from = 1;
     config.migration.to = 3;
-    RouterSim router(table, config);
-    EXPECT_THROW(router.run_workload(zipf_profile()), std::invalid_argument);
+    expect_rejected(config);
   }
   {
     RouterConfig config = rebalancer_config(4);
     config.rebalancer.window_cycles = 0;
-    RouterSim router(table, config);
-    EXPECT_THROW(router.run_workload(zipf_profile()), std::invalid_argument);
+    expect_rejected(config);
+  }
+}
+
+TEST(RebalancerOracle, RejectsMisconfiguredMigrationAtConstruction) {
+  const net::RouteTable table = small_table();
+  RouterConfig valid = core::spal_default_config(4);
+  valid.migration.enabled = true;
+  valid.migration.from = 1;
+  valid.migration.to = 3;
+  EXPECT_NO_THROW(RouterSim(table, valid));
+  const auto expect_rejected = [&](const RouterConfig& config) {
+    EXPECT_THROW(RouterSim(table, config), std::invalid_argument);
+  };
+  {
+    RouterConfig config = valid;
+    config.partition = false;  // no fragments to move
+    expect_rejected(config);
+  }
+  {
+    RouterConfig config = valid;
+    config.num_lcs = 1;  // nowhere to move to
+    config.migration.from = 0;
+    config.migration.to = 0;
+    expect_rejected(config);
+  }
+  for (const auto& [from, to] : {std::pair{-1, 3}, std::pair{1, 4},
+                                 std::pair{4, 1}, std::pair{1, -1},
+                                 std::pair{2, 2}}) {
+    SCOPED_TRACE("from=" + std::to_string(from) + " to=" + std::to_string(to));
+    RouterConfig config = valid;
+    config.migration.from = from;
+    config.migration.to = to;
+    expect_rejected(config);
   }
 }
 
