@@ -256,6 +256,19 @@ TEST(MemoryModelRouter, HostedFragmentsPackBehindTheHostsResidents) {
                     {0, 0, 0, 0}});
 }
 
+// A Lulea FE cannot update in place: each update rebuilds its fragment's
+// FE, and the LC re-packs its residents around the rebuilt one before the
+// next job is priced. The other router tests here all use the DP trie,
+// which updates in place; these figures pin the rebuilt-FE path.
+TEST(MemoryModelRouter, EpochRebuiltFesRepackOnEveryUpdate) {
+  core::RouterConfig config = non_home_config();
+  config.trie = trie::TrieKind::kLulea;
+  expect_placement(config, trace::profile_d75(),
+                   {{1'615'554, 48, 8'524, 17'048},
+                    {0, 0, 0, 0},
+                    {0, 0, 0, 0}});
+}
+
 // A disabled model must leave the report schema untouched — existing-size
 // figures stay byte-identical to a build without the model.
 TEST(MemoryModelRouter, DisabledRunEmitsNoMemoryObject) {

@@ -5,6 +5,8 @@
 // whose FEs were mutated in place by a previous run.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/router_sim.h"
 #include "core/router_sim6.h"
 #include "net/table_gen.h"
@@ -203,22 +205,71 @@ TEST(RouterUpdates, ZeroUpdateRunKeepsLedgerEmpty) {
   EXPECT_EQ(u.update_cost_cycles, 0u);
 }
 
-// A router whose FE fragments were mutated in place must rebuild them for
-// the next run: two runs of the same churning router are bit-identical.
+// A router whose FE fragments a run mutated (in place on DP, by epoch
+// rebuild on Lulea and LC) must restore them for the next run: two runs of
+// the same churning router produce the same report.
 TEST(RouterUpdates, ChurnedRouterIsRerunnable) {
-  RouterSim router(
-      v4_table(),
-      churn_config(4, RouterConfig::UpdatePolicy::kSelectiveInvalidate,
-                   trie::TrieKind::kDp));
-  const RouterResult a = router.run_workload(small_profile(), /*verify=*/true);
-  const RouterResult b = router.run_workload(small_profile(), /*verify=*/true);
-  EXPECT_EQ(a.verify_mismatches, 0u);
-  EXPECT_EQ(b.verify_mismatches, 0u);
-  EXPECT_EQ(a.resolved_packets, b.resolved_packets);
-  EXPECT_EQ(a.latency.total_cycles(), b.latency.total_cycles());
-  EXPECT_EQ(a.update.applied, b.update.applied);
-  EXPECT_EQ(a.update.blocks_invalidated, b.update.blocks_invalidated);
-  EXPECT_EQ(a.fabric.messages, b.fabric.messages);
+  for (const auto trie :
+       {trie::TrieKind::kDp, trie::TrieKind::kLulea, trie::TrieKind::kLc}) {
+    SCOPED_TRACE(trie::to_string(trie));
+    RouterSim router(
+        v4_table(),
+        churn_config(4, RouterConfig::UpdatePolicy::kSelectiveInvalidate,
+                     trie));
+    const RouterResult a =
+        router.run_workload(small_profile(), /*verify=*/true);
+    const RouterResult b =
+        router.run_workload(small_profile(), /*verify=*/true);
+    EXPECT_EQ(a.verify_mismatches, 0u);
+    EXPECT_GT(a.update.applied, 0u);
+    EXPECT_EQ(a.to_json(), b.to_json());
+  }
+}
+
+// Most of these updates land after the last packet, so no lookup reads the
+// Lulea FEs they rebuild. After the run each LC's own FE must still answer
+// from its final fragment table, exactly as the DP FE updated in place does.
+TEST(RouterUpdates, EpochRebuiltFesHoldTheFinalTableAfterTheRun) {
+  const net::RouteTable table = v4_table();
+  RouterConfig config = churn_config(
+      4, RouterConfig::UpdatePolicy::kSelectiveInvalidate, trie::TrieKind::kDp);
+  config.packets_per_lc = 500;  // the trace ends near cycle 5,000
+  config.update.count = 200;    // one every 400 cycles, up to cycle 80,000
+  RouterSim dp(table, config);
+  config.trie = trie::TrieKind::kLulea;
+  RouterSim lulea(table, config);
+  for (RouterSim* router : {&dp, &lulea}) {
+    const RouterResult result =
+        router->run_workload(small_profile(), /*verify=*/true);
+    EXPECT_EQ(result.verify_mismatches, 0u);
+    EXPECT_EQ(result.update.applied, 200u);
+  }
+  // Destinations inside every updated prefix, each looked up at the LC
+  // whose own fragment is its home.
+  net::UpdateStreamConfig stream;
+  stream.count = config.update.count;
+  stream.seed = config.update.seed;
+  stream.announce_fraction = config.update.announce_fraction;
+  stream.withdraw_fraction = config.update.withdraw_fraction;
+  stream.next_hops = config.update.next_hops;
+  std::vector<std::vector<net::Ipv4Addr>> keys(4);
+  std::mt19937_64 rng(17);
+  for (const net::TableUpdate& update :
+       net::generate_update_stream(table, stream)) {
+    for (int i = 0; i < 4; ++i) {
+      const net::Ipv4Addr addr = net::random_address_in(update.prefix, rng);
+      keys[static_cast<std::size_t>(dp.rot().home_of(addr))].push_back(addr);
+    }
+  }
+  for (int lc = 0; lc < 4; ++lc) {
+    SCOPED_TRACE(lc);
+    const auto& lc_keys = keys[static_cast<std::size_t>(lc)];
+    ASSERT_FALSE(lc_keys.empty());
+    std::vector<net::NextHop> want(lc_keys.size()), got(lc_keys.size());
+    dp.host_fe_lookup(lc, lc_keys.data(), lc_keys.size(), want.data(), 1);
+    lulea.host_fe_lookup(lc, lc_keys.data(), lc_keys.size(), got.data(), 1);
+    EXPECT_EQ(got, want);
+  }
 }
 
 // Same pipeline, unpartitioned table: every LC holds the full table, so
