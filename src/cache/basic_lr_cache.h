@@ -3,9 +3,12 @@
 // also provides the IPv4 alias `LrCache` every IPv4 component uses, while
 // the IPv6 router instantiates BasicLrCache<net::Ipv6Addr>.
 //
-// Requirements on Addr: regular value type with operator==, plus an
-// overload of lr_cache_set_bits(addr) yielding the 32 low-entropy bits the
-// set index is drawn from.
+// Requirements on Addr: regular value type with operator==, plus two
+// overloads: lr_cache_set_bits(addr) yielding the 32 low-entropy bits the
+// set index is drawn from, and lr_cache_filter_key(addr) yielding the
+// 16-bit bucket of the selective-invalidation filter. The prefix type
+// invalidate_matching() takes provides matches(addr), range_first() and
+// range_last().
 #pragma once
 
 #include <algorithm>
@@ -90,12 +93,26 @@ struct LrCacheStats {
     flushes += other.flushes;
     invalidated_blocks += other.invalidated_blocks;
   }
+
+  friend bool operator==(const LrCacheStats&, const LrCacheStats&) = default;
 };
 
 /// Set-index source bits per address family.
 inline std::uint32_t lr_cache_set_bits(net::Ipv4Addr addr) { return addr.value(); }
 inline std::uint32_t lr_cache_set_bits(const net::Ipv6Addr& addr) {
   return static_cast<std::uint32_t>(addr.lo());
+}
+
+/// Invalidation-filter bucket per address family: a 16-bit slice of the
+/// address. IPv4 takes the top 16 bits. IPv6 takes bits 16-31, because the
+/// top 16 bits of a unicast v6 address carry little entropy. The slice is
+/// contiguous, so the addresses a prefix covers fall in the buckets from
+/// its first address's key to its last's.
+inline std::uint32_t lr_cache_filter_key(net::Ipv4Addr addr) {
+  return addr.value() >> 16;
+}
+inline std::uint32_t lr_cache_filter_key(const net::Ipv6Addr& addr) {
+  return addr.bits(16, 16);
 }
 
 template <typename Addr>
@@ -141,12 +158,12 @@ class BasicLrCache {
       ++stats_.victim_hits;
       count_hit_origin(block->origin);
       const Block promoted = *block;
-      block->valid = false;  // free the slot: promote() may demote into it
+      drop(*block);  // free the slot: promote() may demote into it
       if (!promote(promoted, now)) {
         // Promotion declined (origin quota entirely waiting, or zero ways
         // at this γ): restore the entry instead of destroying a valid
         // result — it stays servable from the victim cache.
-        *block = promoted;
+        overwrite(*block, promoted);
         block->last_use = now;
         ++stats_.failed_promotions;
       }
@@ -164,8 +181,8 @@ class BasicLrCache {
       return false;
     }
     ++stats_.reservations;
-    *block = Block{addr, net::kNoRoute, origin, /*valid=*/true,
-                   /*waiting=*/true, now, now};
+    overwrite(*block, Block{addr, net::kNoRoute, origin, /*valid=*/true,
+                            /*waiting=*/true, now, now});
     return true;
   }
 
@@ -191,7 +208,7 @@ class BasicLrCache {
   bool cancel_waiting(const Addr& addr) {
     Block* block = find_in_set(addr);
     if (block == nullptr || !block->waiting) return false;
-    block->valid = false;
+    drop(*block);
     ++stats_.cancelled_reservations;
     return true;
   }
@@ -208,8 +225,8 @@ class BasicLrCache {
     }
     Block* block = choose_victim(set_index(addr), origin, now);
     if (block == nullptr) return;  // no ways for this origin / quota waiting
-    *block = Block{addr, next_hop, origin, /*valid=*/true, /*waiting=*/false,
-                   now, now};
+    overwrite(*block, Block{addr, next_hop, origin, /*valid=*/true,
+                            /*waiting=*/false, now, now});
   }
 
   /// Invalidates every block including the victim cache (table update).
@@ -217,31 +234,33 @@ class BasicLrCache {
     ++stats_.flushes;
     for (Block& block : blocks_) block.valid = false;
     for (Block& block : victim_) block.valid = false;
+    filter_.clear();
   }
 
   /// Cold restart: flush() plus statistics and RNG reset.
   void reset() {
     for (Block& block : blocks_) block = Block{};
     for (Block& block : victim_) block = Block{};
+    filter_.clear();
     stats_ = LrCacheStats{};
     rng_.seed(config_.seed);
   }
 
   /// Selective invalidation: drops completed blocks `prefix` covers
   /// (victim cache included); waiting blocks are left for their fill.
+  /// Returns 0 without scanning when the filter holds no valid block in
+  /// any bucket the prefix covers.
   template <typename PrefixT>
   std::size_t invalidate_matching(const PrefixT& prefix) {
-    std::size_t invalidated = 0;
-    const auto drop = [&](Block& block) {
-      if (block.valid && !block.waiting && prefix.matches(block.addr)) {
-        block.valid = false;
-        ++invalidated;
-      }
-    };
-    for (Block& block : blocks_) drop(block);
-    for (Block& block : victim_) drop(block);
-    stats_.invalidated_blocks += invalidated;
-    return invalidated;
+    if (filter_.empty()) build_filter();
+    const auto first =
+        filter_.begin() + lr_cache_filter_key(prefix.range_first());
+    const auto last =
+        filter_.begin() + lr_cache_filter_key(prefix.range_last()) + 1;
+    if (std::all_of(first, last, [](std::uint32_t n) { return n == 0; })) {
+      return 0;
+    }
+    return invalidate_if([&](const Addr& addr) { return prefix.matches(addr); });
   }
 
   /// Predicate invalidation: drops every completed block whose *address*
@@ -251,14 +270,14 @@ class BasicLrCache {
   template <typename Pred>
   std::size_t invalidate_if(Pred&& pred) {
     std::size_t invalidated = 0;
-    const auto drop = [&](Block& block) {
-      if (block.valid && !block.waiting && pred(block.addr)) {
-        block.valid = false;
-        ++invalidated;
+    for (std::vector<Block>* pool : {&blocks_, &victim_}) {
+      for (Block& block : *pool) {
+        if (block.valid && !block.waiting && pred(block.addr)) {
+          drop(block);
+          ++invalidated;
+        }
       }
-    };
-    for (Block& block : blocks_) drop(block);
-    for (Block& block : victim_) drop(block);
+    }
     stats_.invalidated_blocks += invalidated;
     return invalidated;
   }
@@ -300,6 +319,34 @@ class BasicLrCache {
     return lr_cache_set_bits(addr) & (sets_ - 1);
   }
 
+  /// Every write that changes a block's address or validity goes through
+  /// overwrite() or drop(), so a built filter stays exact.
+  void overwrite(Block& slot, const Block& block) {
+    if (!filter_.empty()) {
+      if (slot.valid) --filter_[lr_cache_filter_key(slot.addr)];
+      if (block.valid) ++filter_[lr_cache_filter_key(block.addr)];
+    }
+    slot = block;
+  }
+
+  void drop(Block& slot) {
+    if (!filter_.empty() && slot.valid) {
+      --filter_[lr_cache_filter_key(slot.addr)];
+    }
+    slot.valid = false;
+  }
+
+  /// Counts every valid block, waiting and victim ones included, per
+  /// filter bucket: one pass over the blocks.
+  void build_filter() {
+    filter_.assign(kFilterBuckets, 0);
+    for (const std::vector<Block>* pool : {&blocks_, &victim_}) {
+      for (const Block& block : *pool) {
+        if (block.valid) ++filter_[lr_cache_filter_key(block.addr)];
+      }
+    }
+  }
+
   void count_hit_origin(Origin origin) {
     if (origin == Origin::kLocal) {
       ++stats_.loc_hits;
@@ -315,7 +362,7 @@ class BasicLrCache {
     Block* block = choose_victim(set_index(victim.addr), victim.origin, now,
                                  /*count_quota_bypass=*/false);
     if (block == nullptr) return false;
-    *block = victim;
+    overwrite(*block, victim);
     block->last_use = now;
     block->inserted = now;
     return true;
@@ -408,7 +455,7 @@ class BasicLrCache {
     ++stats_.evictions;
     for (Block& slot : victim_) {
       if (!slot.valid) {
-        slot = block;
+        overwrite(slot, block);
         slot.last_use = now;
         slot.inserted = now;
         return;
@@ -417,7 +464,7 @@ class BasicLrCache {
     std::vector<std::size_t> all(victim_.size());
     for (std::size_t i = 0; i < victim_.size(); ++i) all[i] = i;
     const std::size_t slot = pick_by_policy(all, victim_, config_.victim_replacement);
-    victim_[slot] = block;
+    overwrite(victim_[slot], block);
     victim_[slot].last_use = now;
     victim_[slot].inserted = now;
   }
@@ -426,6 +473,10 @@ class BasicLrCache {
   std::size_t sets_ = 0;
   std::vector<Block> blocks_;         // sets_ * associativity, set-major
   std::vector<Block> victim_;         // fully associative
+  static constexpr std::size_t kFilterBuckets = std::size_t{1} << 16;
+  /// Valid blocks per lr_cache_filter_key bucket; empty until the first
+  /// invalidate_matching() after construction, flush() or reset().
+  std::vector<std::uint32_t> filter_;
   LrCacheStats stats_;
   std::mt19937_64 rng_;
 };

@@ -384,6 +384,11 @@ class BasicRouterSim {
     }
 
     run_events();
+    // Rebuild the FEs the run's last updates left stale, so
+    // fe_storage_bytes(), fe_host_lookup() and the next run see them built.
+    for (auto& residents : residents_) {
+      for (Resident& res : residents) built_fe(res);
+    }
 
     result_.failover.enabled = failover_enabled();
     result_.rebalancer.enabled = config_.rebalancer.enabled;
@@ -592,8 +597,11 @@ class BasicRouterSim {
     /// The mutable table updates apply to. Null on an own fragment until a
     /// run with live updates copies it from the partition.
     std::unique_ptr<Table> table;
-    typename Family::Fe fe;
+    typename Family::Fe fe;  ///< read through built_fe() during a run
     MemoryModel model;  ///< empty while the memory model is off
+    /// Set when an update changed `table` under an FE that cannot update
+    /// in place; built_fe() rebuilds the FE before its next read.
+    bool stale = false;
   };
 
   using TableEntry =
@@ -898,7 +906,7 @@ class BasicRouterSim {
     auto& fe_free = *std::min_element(servers.begin(), servers.end());
     const std::uint64_t start = std::max(now, fe_free);
     std::uint64_t service = static_cast<std::uint64_t>(config_.fe_service_cycles);
-    const Resident& res = resident_at(lc, slot);
+    Resident& res = resident_at(lc, slot);
     if (config_.memory.enabled) {
       // Memory-tier pricing: a counted lookup against the structure as
       // built at admission time sets this job's service time (the result
@@ -906,7 +914,7 @@ class BasicRouterSim {
       // that lands in between changes the answer, not this job's price).
       // Each resident prices against its own placement.
       trie::MemAccessCounter counter;
-      Family::fe_lookup_counted(res.fe, addr, counter);
+      Family::fe_lookup_counted(built_fe(res), addr, counter);
       service = res.model.charge(counter, memory_counters_);
     }
     const std::uint64_t completion = start + service;
@@ -924,8 +932,8 @@ class BasicRouterSim {
   void handle_fe_complete(std::uint64_t now, const Event& event) {
     const int lc = event.lc;
     const Addr addr = event.addr;
-    const auto& residents = residents_[static_cast<std::size_t>(lc)];
-    const Resident* res = &residents[static_cast<std::size_t>(event.aux)];
+    auto& residents = residents_[static_cast<std::size_t>(lc)];
+    Resident* res = &residents[static_cast<std::size_t>(event.aux)];
     if (res->role == Role::kMigrated) {
       // A job on a re-homed fragment answers from the fragment's latest
       // structure here, even if a newer one arrived while it queued.
@@ -933,7 +941,7 @@ class BasicRouterSim {
           resident_slot(lc, res->fragment, Role::kMigrated))];
     }
     const bool copy = res->role == Role::kCopy;
-    const net::NextHop hop = Family::fe_lookup(res->fe, addr);
+    const net::NextHop hop = Family::fe_lookup(built_fe(*res), addr);
     if (event.fill) {
       if (!caches_.empty()) {
         caches_[static_cast<std::size_t>(lc)]->fill(addr, hop, now);
@@ -1366,10 +1374,11 @@ class BasicRouterSim {
   }
 
   /// Applies update `index` to resident `slot` at `lc`: its table, then its
-  /// FE (incrementally when supported, by epoch rebuild otherwise), then the
-  /// LC's placement, since the FE changed size. A charged apply counts as
-  /// an application and stalls every FE server at `lc` for its cost — the
-  /// FE is unavailable while the update applies. An uncharged one (a delta
+  /// FE (incrementally when supported; otherwise the FE is marked stale and
+  /// built_fe() rebuilds it at its next read), then the LC's placement,
+  /// since the FE changed size. A charged apply counts as an application
+  /// and stalls every FE server at `lc` for its cost — the FE is
+  /// unavailable while the update applies. An uncharged one (a delta
   /// double-delivered into a staged structure) is management-plane work.
   void apply_to_resident(int lc, int slot, std::size_t index,
                          std::uint64_t now, bool charge) {
@@ -1384,7 +1393,7 @@ class BasicRouterSim {
         Family::fe_insert(res.fe, update.prefix, update.next_hop);
       }
     } else {
-      res.fe = Family::build_fe(*res.table, config_);
+      res.stale = true;
     }
     place_residents(lc);
     if (!charge) return;
@@ -2039,9 +2048,20 @@ class BasicRouterSim {
     if (!config_.memory.enabled) return;
     std::uint64_t base = 0;
     for (Resident& res : residents_[static_cast<std::size_t>(lc)]) {
-      res.model = MemoryModel(config_.memory, Family::fe_arenas(res.fe), base);
+      res.model =
+          MemoryModel(config_.memory, Family::fe_arenas(built_fe(res)), base);
       base += res.model.placed_bytes();
     }
+  }
+
+  /// `res`'s FE, rebuilt from its table first if an update left it stale.
+  /// The rebuild's simulated cost was charged when the update applied.
+  typename Family::Fe& built_fe(Resident& res) {
+    if (res.stale) {
+      res.fe = Family::build_fe(*res.table, config_);
+      res.stale = false;
+    }
+    return res.fe;
   }
 
   static constexpr std::uint64_t kSettlePending = ~std::uint64_t{0};

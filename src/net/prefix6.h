@@ -54,6 +54,12 @@ class Prefix6 {
     return length_ <= other.length_ && matches(other.address());
   }
 
+  /// Lowest / highest address inside this prefix.
+  constexpr Ipv6Addr range_first() const { return address(); }
+  constexpr Ipv6Addr range_last() const {
+    return Ipv6Addr{hi_ | ~hi_mask(length_), lo_ | ~lo_mask(length_)};
+  }
+
   /// "<full hex groups>/len".
   std::string to_string() const {
     return address().to_string() + "/" + std::to_string(length_);

@@ -57,6 +57,16 @@ TEST(Prefix6, CoversNesting) {
   EXPECT_FALSE(p6(0x20010DB800000000ULL, 0, 32).covers(p6(0x2001000000000000ULL, 0, 16)));
 }
 
+TEST(Prefix6, RangeEndpoints) {
+  const Prefix6 prefix = p6(0x20010DB8FFFFFFFFULL, ~0ULL, 32);
+  EXPECT_EQ(prefix.range_first(), Ipv6Addr(0x20010DB800000000ULL, 0));
+  EXPECT_EQ(prefix.range_last(), Ipv6Addr(0x20010DB8FFFFFFFFULL, ~0ULL));
+  EXPECT_EQ(p6(0x20010DB800000000ULL, 0xAB00000000000000ULL, 72).range_last(),
+            Ipv6Addr(0x20010DB800000000ULL, 0xABFFFFFFFFFFFFFFULL));
+  EXPECT_EQ(p6(~0ULL, ~0ULL, 0).range_last(), Ipv6Addr(~0ULL, ~0ULL));
+  EXPECT_EQ(p6(1, 2, 128).range_last(), Ipv6Addr(1, 2));
+}
+
 TEST(RouteTable6, AddDedupAndLookup) {
   RouteTable6 table;
   table.add(p6(0x2001000000000000ULL, 0, 16), 1);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "lr_cache_filter_check.h"
+
 namespace {
 
 using namespace spal;
@@ -491,6 +496,54 @@ TEST(LrCache, FlushTurnsInFlightFillsIntoOrphans) {
   EXPECT_FALSE(cache.fill(addr, 7, 1));
   EXPECT_EQ(cache.stats().orphan_fills, 1u);
   EXPECT_EQ(cache.probe(addr, 2).state, ProbeState::kMiss);
+}
+
+// --- Invalidation filter ---------------------------------------------------
+
+// The declined promotion of DeclinedVictimPromotionKeepsTheEntry drops the
+// victim entry and writes it back. A filter built before that must still
+// count the entry, or the invalidation that should drop it skips its scan.
+// Tag k is address k << 16 in set 0, so each tag has a bucket of its own.
+TEST(LrCache, InvalidationFilterCountsARestoredVictimEntry) {
+  LrCacheConfig config = small_config();  // γ = 50%: 2 REM ways
+  config.victim_blocks = 8;
+  LrCache cache(config);
+  const auto tag = [](std::uint32_t k) { return addr_in_set(0, k << 14); };
+  EXPECT_EQ(cache.invalidate_matching(*net::Prefix::parse("10.0.0.0/8")), 0u);
+  cache.insert(tag(1), 1, Origin::kRemote, 1);
+  cache.insert(tag(2), 2, Origin::kRemote, 2);
+  cache.insert(tag(3), 3, Origin::kRemote, 3);  // tag 1 -> victim
+  ASSERT_TRUE(cache.reserve(tag(4), Origin::kRemote, 4));
+  ASSERT_TRUE(cache.reserve(tag(5), Origin::kRemote, 5));
+  EXPECT_EQ(cache.probe(tag(1), 10).state, ProbeState::kHit);
+  ASSERT_EQ(cache.stats().failed_promotions, 1u);
+  EXPECT_EQ(cache.invalidate_matching(net::Prefix(tag(1), 16)), 1u);
+  EXPECT_EQ(cache.probe(tag(1), 11).state, ProbeState::kMiss);
+}
+
+// The filter keys on the top 16 address bits. The pool spreads about two
+// addresses per bucket over 96 buckets in runs of adjacent keys, so buckets
+// keep emptying and short prefixes span several of them. Prefixes of every
+// length /0-/32 are drawn around pool addresses and around random ones; one
+// in eight is shorter than /16, since those drop blocks by the dozen.
+TEST(LrCache, InvalidationFilterAgreesWithAPlainScan) {
+  const std::uint32_t runs[] = {0x0000, 0x0a00, 0x0aff, 0x7ff8, 0xc0a8, 0xfff0};
+  std::mt19937_64 rng(0x5eed);
+  std::vector<Ipv4Addr> pool;
+  for (int i = 0; i < 192; ++i) {
+    const std::uint32_t bucket = runs[rng() % std::size(runs)] + rng() % 16;
+    pool.push_back(Ipv4Addr{(bucket << 16) |
+                            static_cast<std::uint32_t>(rng() % 1'024)});
+  }
+  const auto make_prefix = [&](std::mt19937_64& draw) {
+    const Ipv4Addr base = draw() % 4 == 0
+                              ? Ipv4Addr{static_cast<std::uint32_t>(draw())}
+                              : pool[draw() % pool.size()];
+    const auto length = static_cast<int>(draw() % 8 == 0 ? draw() % 16
+                                                         : 16 + draw() % 17);
+    return net::Prefix(base, length);
+  };
+  cache::testing::expect_filter_agrees_with_scan_everywhere(pool, make_prefix);
 }
 
 }  // namespace

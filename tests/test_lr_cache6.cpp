@@ -4,7 +4,12 @@
 // 128-bit tag comparison, Prefix6 selective invalidation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "cache/basic_lr_cache.h"
+#include "lr_cache_filter_check.h"
 #include "net/prefix6.h"
 
 namespace {
@@ -153,6 +158,34 @@ TEST(LrCache6, VictimCacheWorks) {
   const auto result = cache.probe(a, 3);
   EXPECT_EQ(result.state, ProbeState::kHit);
   EXPECT_EQ(cache.stats().victim_hits, 1u);
+}
+
+// The v6 filter keys on address bits 16-31. The pool varies the top 16
+// bits too (two values) and spreads about two addresses per bucket over
+// bits 16-31 in runs of adjacent keys. Prefix lengths cover the three range
+// cases: <= /16 covers every bucket, /17-/31 a run of them, >= /32 exactly
+// one. The first two take one draw in eight each, since they drop blocks by
+// the dozen.
+TEST(LrCache6, InvalidationFilterAgreesWithAPlainScan) {
+  const std::uint64_t tops[] = {0x2001, 0x2a00};
+  const std::uint64_t runs[] = {0x0000, 0x00f8, 0x1234, 0x7ff8, 0xfff0};
+  std::mt19937_64 rng(0x5eed6);
+  std::vector<Ipv6Addr> pool;
+  for (int i = 0; i < 192; ++i) {
+    const std::uint64_t bucket = runs[rng() % std::size(runs)] + rng() % 16;
+    const std::uint64_t hi =
+        (tops[rng() % 2] << 48) | (bucket << 32) | (rng() % 4);
+    pool.push_back(Ipv6Addr{hi, rng() % 1'024});
+  }
+  const auto make_prefix = [&](std::mt19937_64& draw) {
+    const Ipv6Addr base = draw() % 4 == 0 ? Ipv6Addr{draw(), draw()}
+                                          : pool[draw() % pool.size()];
+    const int ranges[3][2] = {{0, 16}, {17, 31}, {32, 128}};
+    const auto& range = ranges[std::min(draw() % 8, std::uint64_t{2})];
+    return net::Prefix6(
+        base, std::uniform_int_distribution<int>(range[0], range[1])(draw));
+  };
+  cache::testing::expect_filter_agrees_with_scan_everywhere(pool, make_prefix);
 }
 
 }  // namespace
