@@ -8,6 +8,10 @@ Exports <git-ref> with `git archive`, builds it and the working tree (as it
 is on disk, uncommitted edits included) in Release, and runs on both:
 
   * the fig-4/5/6 benches at --packets=10000 (CSV on stdout);
+  * bench_fig3_sram (trie storage per psi), bench_memaccess (accesses per
+    lookup per trie), bench_partitioning (control bits and fragment sizes)
+    and bench_ipv6_extension (IPv6 partition, binary-trie storage and
+    RouterSim6), which take no flags (CSV on stdout);
   * the --packets=2000 --json reports of bench_fault, bench_update --verify
     (default rates and --update-rate=1000), bench_failover,
     bench_loadbalance and bench_scale.
@@ -37,16 +41,22 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 BENCH_TARGETS = [
-    "bench_fig4_mix", "bench_fig5_cache_size", "bench_fig6_scaling",
+    "bench_fig3_sram", "bench_fig4_mix", "bench_fig5_cache_size",
+    "bench_fig6_scaling", "bench_memaccess", "bench_partitioning",
+    "bench_ipv6_extension",
     "bench_fault", "bench_update", "bench_failover", "bench_loadbalance",
     "bench_scale", "spal_report",
 ]
 
 # (output name, bench binary, extra args, JSON report?)
 RUNS = [
+    ("fig3.csv", "bench_fig3_sram", [], False),
     ("fig4.csv", "bench_fig4_mix", ["--packets=10000"], False),
     ("fig5.csv", "bench_fig5_cache_size", ["--packets=10000"], False),
     ("fig6.csv", "bench_fig6_scaling", ["--packets=10000"], False),
+    ("memaccess.csv", "bench_memaccess", [], False),
+    ("partitioning.csv", "bench_partitioning", [], False),
+    ("ipv6_extension.csv", "bench_ipv6_extension", [], False),
     ("fault.json", "bench_fault", ["--packets=2000"], True),
     ("update.json", "bench_update", ["--packets=2000", "--verify"], True),
     ("update_rate1000.json", "bench_update",
