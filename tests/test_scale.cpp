@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "net/table_gen.h"
@@ -33,16 +34,22 @@ const net::RouteTable& internet_table() {
   return table;
 }
 
+/// The 220k-prefix IPv6 table, generated once like internet_table().
+const net::RouteTable6& internet_table6() {
+  static const net::RouteTable6 table = net::make_rt6_internet(220'000);
+  return table;
+}
+
 /// Every `stride`-th entry — a sampled slice that keeps per-kind build
-/// cost test-sized while exercising the 1M table's actual prefix mix.
-net::RouteTable sampled_slice(const net::RouteTable& table,
-                              std::size_t stride) {
-  std::vector<net::RouteEntry> entries;
+/// cost test-sized while exercising the table's actual prefix mix.
+template <typename Table>
+Table sampled_slice(const Table& table, std::size_t stride) {
+  std::vector<std::decay_t<decltype(table.entries()[0])>> entries;
   entries.reserve(table.size() / stride + 1);
   for (std::size_t i = 0; i < table.entries().size(); i += stride) {
     entries.push_back(table.entries()[i]);
   }
-  return net::RouteTable(std::move(entries));
+  return Table(std::move(entries));
 }
 
 // --- Generator properties at 1M ---
@@ -123,13 +130,8 @@ TEST(ScaleDifferential, SampledSliceAllV4Kinds) {
 }
 
 TEST(ScaleDifferential, SampledSliceV6Kinds) {
-  const net::RouteTable6 table = net::make_rt6_internet(220'000);
-  ASSERT_EQ(table.size(), 220'000u);
-  std::vector<net::RouteEntry6> entries;
-  for (std::size_t i = 0; i < table.entries().size(); i += 10) {
-    entries.push_back(table.entries()[i]);
-  }
-  const net::RouteTable6 slice(std::move(entries));
+  ASSERT_EQ(internet_table6().size(), 220'000u);
+  const net::RouteTable6 slice = sampled_slice(internet_table6(), 10);
   const trie::BinaryTrie6 oracle(slice);
   const trie::LcTrie6 lc(slice);
   const trie::DpTrie6 dp(slice);
@@ -169,6 +171,25 @@ TEST(ScaleBulkBuild, DpSpineBuildMatchesShuffledInserts) {
             ? net::random_address_in(slice.entries()[pick(rng)].prefix, rng)
             : net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
     ASSERT_EQ(bulk.lookup(addr), incremental.lookup(addr));
+  }
+  // The same over 128-bit keys: an IPv6 slice.
+  const net::RouteTable6 slice6 = sampled_slice(internet_table6(), 10);
+  const trie::DpTrie6 bulk6(slice6);
+  trie::DpTrie6 incremental6{net::RouteTable6{}};
+  std::vector<net::RouteEntry6> feed6(slice6.entries().begin(),
+                                      slice6.entries().end());
+  std::shuffle(feed6.begin(), feed6.end(), rng);
+  for (const auto& entry : feed6) {
+    incremental6.insert(entry.prefix, entry.next_hop);
+  }
+  EXPECT_EQ(bulk6.node_count(), incremental6.node_count());
+  std::uniform_int_distribution<std::size_t> pick6(0, slice6.size() - 1);
+  for (int i = 0; i < 10'000; ++i) {
+    const net::Ipv6Addr addr =
+        i % 2 == 0
+            ? net::random_address_in6(slice6.entries()[pick6(rng)].prefix, rng)
+            : net::Ipv6Addr{rng(), rng()};
+    ASSERT_EQ(bulk6.lookup(addr), incremental6.lookup(addr));
   }
 }
 
