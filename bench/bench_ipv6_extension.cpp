@@ -11,8 +11,8 @@
 #include "bench_util.h"
 #include "core/router_sim6.h"
 #include "net/prefix6.h"
-#include "partition/partition6.h"
-#include "trie/binary_trie6.h"
+#include "partition/rot_partition.h"
+#include "trie/binary_trie.h"
 
 using namespace spal;
 

@@ -5,34 +5,24 @@
 // + per-LC tables), a forwarding-engine index per LC, an LR-cache keyed by
 // addresses, and the fabric/event machinery. This template captures that
 // flow once; RouterSim (IPv4) and RouterSim6 (IPv6) are thin instantiations
-// through a Family policy:
+// through a Family policy. The partition (partition::BasicRotPartition), the
+// FE interface (trie::BasicLpmIndex) and the oracle (trie::BasicBinaryTrie)
+// are the address-generic templates; the policy names only what differs
+// between the families:
 //
 //   struct Family {
 //     using Addr;                     // packet destination type
-//     using Table;                    // routing table
-//     using Partition;                // ROT-partition (home_of, table_of)
-//     using Fe;                       // built LPM index
-//     using Oracle;                   // full-table reference index
-//     static Partition make_partition(const Table&, int lcs, const RouterConfig&);
-//     static Fe build_fe(const Table&, const RouterConfig&);
-//     static net::NextHop fe_lookup(const Fe&, const Addr&);
-//     static void fe_lookup_batch(const Fe&, const Addr*, std::size_t n,
-//                                 net::NextHop*);  // bit-identical to scalar
-//     static std::size_t fe_storage(const Fe&);
-//     // Memory-tier cost model (core/memory_model.h):
-//     static std::vector<trie::ArenaSpan> fe_arenas(const Fe&);
-//     static net::NextHop fe_lookup_counted(const Fe&, const Addr&,
-//                                           trie::MemAccessCounter&);
-//     static Oracle build_oracle(const Table&);
-//     static net::NextHop oracle_lookup(const Oracle&, const Addr&);
-//     static std::uint64_t hash_bits(const Addr&);       // waiting-list key
-//     // Live route-update pipeline:
+//     using Table;                    // routing table (net::TableOf<Addr>)
 //     using Update;                   // net::TableUpdate / net::TableUpdate6
+//     // Live route-update generator:
 //     static std::vector<Update> make_updates(const Table&,
 //                                             const net::UpdateStreamConfig&);
-//     static bool fe_supports_update(const Fe&);
-//     static void fe_insert(Fe&, const PrefixT&, net::NextHop);
-//     static void fe_remove(Fe&, const PrefixT&);
+//     static std::uint64_t hash_bits(const Addr&);       // waiting-list key
+//     // The RouterConfig field holding this family's partition knobs:
+//     static const partition::BasicPartitionConfig<Addr>& partition_config(
+//         const RouterConfig&);
+//     static std::unique_ptr<trie::BasicLpmIndex<Addr>> build_fe(
+//         const Table&, const RouterConfig&);
 //   };
 //
 // Execution model. One calendar queue drives every LC's events on the
@@ -67,6 +57,7 @@
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/packet_source.h"
+#include "trie/binary_trie.h"
 
 namespace spal::core {
 
@@ -75,7 +66,9 @@ class BasicRouterSim {
  public:
   using Addr = typename Family::Addr;
   using Table = typename Family::Table;
-  using Partition = typename Family::Partition;
+  using Partition = partition::BasicRotPartition<Addr>;
+  using Fe = std::unique_ptr<trie::BasicLpmIndex<Addr>>;
+  using Oracle = trie::BasicBinaryTrie<Addr>;
   using Cache = cache::BasicLrCache<Addr>;
 
   BasicRouterSim(const Table& table, const RouterConfig& config)
@@ -115,8 +108,9 @@ class BasicRouterSim {
     }
     // Fragment the table (an unpartitioned router keeps the full table in
     // every LC, modelled as a single-partition fragmentation).
-    rot_ = std::make_unique<Partition>(Family::make_partition(
-        table, config_.partition ? config_.num_lcs : 1, config_));
+    rot_ = std::make_unique<Partition>(
+        table, config_.partition ? config_.num_lcs : 1,
+        Family::partition_config(config_));
     replica_plan_ = partition::assign_replicas(
         config_.num_lcs,
         replication_active() ? config_.replication.replicas : 0);
@@ -278,8 +272,7 @@ class BasicRouterSim {
     if ((verify_ || faults_active()) && oracle_ == nullptr) {
       // Verify mode reads it per packet; fault mode's degraded slow path
       // falls back to it.
-      oracle_ = std::make_unique<typename Family::Oracle>(
-          Family::build_oracle(full_table_));
+      oracle_ = std::make_unique<Oracle>(full_table_);
     }
     updates_.clear();
     update_inject_time_.clear();
@@ -475,7 +468,7 @@ class BasicRouterSim {
     std::vector<std::size_t> sizes;
     sizes.reserve(residents_.size());
     for (const auto& residents : residents_) {
-      sizes.push_back(Family::fe_storage(residents.front().fe));
+      sizes.push_back(residents.front().fe->storage_bytes());
     }
     return sizes;
   }
@@ -487,13 +480,13 @@ class BasicRouterSim {
   /// it to measure real ns/lookup on the per-LC structures.
   void fe_host_lookup(int lc, const Addr* keys, std::size_t n,
                       net::NextHop* out, std::size_t batch) const {
-    const auto& fe = residents_[static_cast<std::size_t>(lc)].front().fe;
+    const auto& fe = *residents_[static_cast<std::size_t>(lc)].front().fe;
     if (batch <= 1) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = Family::fe_lookup(fe, keys[i]);
+      for (std::size_t i = 0; i < n; ++i) out[i] = fe.lookup(keys[i]);
       return;
     }
     for (std::size_t i = 0; i < n; i += batch) {
-      Family::fe_lookup_batch(fe, keys + i, std::min(batch, n - i), out + i);
+      fe.lookup_batch(keys + i, std::min(batch, n - i), out + i);
     }
   }
 
@@ -597,7 +590,7 @@ class BasicRouterSim {
     /// The mutable table updates apply to. Null on an own fragment until a
     /// run with live updates copies it from the partition.
     std::unique_ptr<Table> table;
-    typename Family::Fe fe;  ///< read through built_fe() during a run
+    Fe fe;  ///< read through built_fe() during a run
     MemoryModel model;  ///< empty while the memory model is off
     /// Set when an update changed `table` under an FE that cannot update
     /// in place; built_fe() rebuilds the FE before its next read.
@@ -914,7 +907,7 @@ class BasicRouterSim {
       // that lands in between changes the answer, not this job's price).
       // Each resident prices against its own placement.
       trie::MemAccessCounter counter;
-      Family::fe_lookup_counted(built_fe(res), addr, counter);
+      built_fe(res).lookup_counted(addr, counter);
       service = res.model.charge(counter, memory_counters_);
     }
     const std::uint64_t completion = start + service;
@@ -941,7 +934,7 @@ class BasicRouterSim {
           resident_slot(lc, res->fragment, Role::kMigrated))];
     }
     const bool copy = res->role == Role::kCopy;
-    const net::NextHop hop = Family::fe_lookup(built_fe(*res), addr);
+    const net::NextHop hop = built_fe(*res).lookup(addr);
     if (event.fill) {
       if (!caches_.empty()) {
         caches_[static_cast<std::size_t>(lc)]->fill(addr, hop, now);
@@ -1052,8 +1045,7 @@ class BasicRouterSim {
           .record(cycles);
     }
     if (verify_) {
-      const net::NextHop expected =
-          Family::oracle_lookup(*oracle_, destinations_[index]);
+      const net::NextHop expected = oracle_->lookup(destinations_[index]);
       if (expected != hop && !update_excuses(index, now)) {
         ++result_.verify_mismatches;
       }
@@ -1197,7 +1189,7 @@ class BasicRouterSim {
         ++result_.fault.reclaimed_waiting_blocks;
       }
     }
-    const net::NextHop hop = Family::oracle_lookup(*oracle_, addr);
+    const net::NextHop hop = oracle_->lookup(addr);
     const std::uint64_t done =
         now + static_cast<std::uint64_t>(
                   std::max(1, config_.recovery.degraded_service_cycles));
@@ -1385,12 +1377,12 @@ class BasicRouterSim {
     const auto& update = updates_[index];
     Resident& res = resident_at(lc, slot);
     net::apply_update(*res.table, update);
-    const bool incremental = Family::fe_supports_update(res.fe);
+    const bool incremental = res.fe->supports_incremental_update();
     if (incremental) {
       if (update.kind == net::UpdateKind::kWithdraw) {
-        Family::fe_remove(res.fe, update.prefix);
+        res.fe->remove(update.prefix);
       } else {
-        Family::fe_insert(res.fe, update.prefix, update.next_hop);
+        res.fe->insert(update.prefix, update.next_hop);
       }
     } else {
       res.stale = true;
@@ -2049,19 +2041,19 @@ class BasicRouterSim {
     std::uint64_t base = 0;
     for (Resident& res : residents_[static_cast<std::size_t>(lc)]) {
       res.model =
-          MemoryModel(config_.memory, Family::fe_arenas(built_fe(res)), base);
+          MemoryModel(config_.memory, built_fe(res).arenas(), base);
       base += res.model.placed_bytes();
     }
   }
 
   /// `res`'s FE, rebuilt from its table first if an update left it stale.
   /// The rebuild's simulated cost was charged when the update applied.
-  typename Family::Fe& built_fe(Resident& res) {
+  trie::BasicLpmIndex<Addr>& built_fe(Resident& res) {
     if (res.stale) {
       res.fe = Family::build_fe(*res.table, config_);
       res.stale = false;
     }
-    return res.fe;
+    return *res.fe;
   }
 
   static constexpr std::uint64_t kSettlePending = ~std::uint64_t{0};
@@ -2077,7 +2069,7 @@ class BasicRouterSim {
   std::vector<std::vector<int>> replica_plan_;    // fragment -> holder LCs
   std::vector<std::unique_ptr<Cache>> caches_;    // one per LC (optional)
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::unique_ptr<typename Family::Oracle> oracle_;  // verify/degraded modes
+  std::unique_ptr<Oracle> oracle_;  // verify/degraded modes
 
   // Run state (reset per run()).
   sim::CalendarQueue<Event> queue_;

@@ -9,7 +9,6 @@
 #include "cache/lr_cache.h"
 #include "core/memory_model.h"
 #include "fabric/fabric.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "sim/metrics.h"
 #include "trie/lpm.h"

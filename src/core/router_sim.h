@@ -36,7 +36,6 @@
 #include "net/route_table.h"
 #include "partition/rot_partition.h"
 #include "trace/trace_gen.h"
-#include "trie/binary_trie.h"
 #include "trie/lpm.h"
 
 namespace spal::core {
@@ -45,53 +44,21 @@ namespace spal::core {
 struct V4Family {
   using Addr = net::Ipv4Addr;
   using Table = net::RouteTable;
-  using Partition = partition::RotPartition;
-  using Fe = std::unique_ptr<trie::LpmIndex>;
-  using Oracle = trie::BinaryTrie;
-
-  static Partition make_partition(const Table& table, int num_lcs,
-                                  const RouterConfig& config) {
-    return Partition(table, num_lcs, config.partition_config);
-  }
-  static Fe build_fe(const Table& table, const RouterConfig& config) {
-    return trie::build_lpm(config.trie, table, config.trie_options);
-  }
-  static net::NextHop fe_lookup(const Fe& fe, const Addr& addr) {
-    return fe->lookup(addr);
-  }
-  static void fe_lookup_batch(const Fe& fe, const Addr* keys, std::size_t n,
-                              net::NextHop* out) {
-    fe->lookup_batch(keys, n, out);
-  }
-  static std::size_t fe_storage(const Fe& fe) { return fe->storage_bytes(); }
-  // Memory-tier cost model hooks: the arena list (hottest first) the model
-  // places, and the counted lookup it prices jobs with.
-  static std::vector<trie::ArenaSpan> fe_arenas(const Fe& fe) {
-    return fe->arenas();
-  }
-  static net::NextHop fe_lookup_counted(const Fe& fe, const Addr& addr,
-                                        trie::MemAccessCounter& counter) {
-    return fe->lookup_counted(addr, counter);
-  }
-  static Oracle build_oracle(const Table& table) { return Oracle(table); }
-  static net::NextHop oracle_lookup(const Oracle& oracle, const Addr& addr) {
-    return oracle.lookup(addr);
-  }
-  static std::uint64_t hash_bits(const Addr& addr) { return addr.value(); }
-
-  // Live route-update pipeline:
   using Update = net::TableUpdate;
+
   static std::vector<Update> make_updates(const Table& table,
                                           const net::UpdateStreamConfig& config) {
     return net::generate_update_stream(table, config);
   }
-  static bool fe_supports_update(const Fe& fe) {
-    return fe->supports_incremental_update();
+  static std::uint64_t hash_bits(const Addr& addr) { return addr.value(); }
+  static const partition::PartitionConfig& partition_config(
+      const RouterConfig& config) {
+    return config.partition_config;
   }
-  static void fe_insert(Fe& fe, const net::Prefix& prefix, net::NextHop hop) {
-    fe->insert(prefix, hop);
+  static std::unique_ptr<trie::LpmIndex> build_fe(const Table& table,
+                                                  const RouterConfig& config) {
+    return trie::build_lpm(config.trie, table, config.trie_options);
   }
-  static void fe_remove(Fe& fe, const net::Prefix& prefix) { fe->remove(prefix); }
 };
 
 class RouterSim {

@@ -34,7 +34,6 @@
 #include "net/table_gen.h"
 #include "net/update_stream.h"
 #include "partition/bit_selector.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/engine.h"
@@ -43,12 +42,9 @@
 #include "sim/sweep.h"
 #include "trace/trace_gen.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 #include "trie/dp_trie.h"
-#include "trie/dp_trie6.h"
 #include "trie/gupta_trie.h"
 #include "trie/lc_trie.h"
-#include "trie/lc_trie6.h"
 #include "trie/lpm.h"
 #include "trie/lulea_trie.h"
 #include "trie/stride_trie.h"

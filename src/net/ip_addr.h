@@ -7,6 +7,7 @@
 // the MSB.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <optional>
@@ -60,7 +61,7 @@ class Ipv4Addr {
 
 /// A 128-bit IPv6 address, stored as two host-order 64-bit halves.
 /// Provided for the paper's "SPAL is feasibly applicable to IPv6" extension;
-/// the partitioner and binary trie accept either address family.
+/// the partitioner and the binary, DP and LC tries accept either family.
 class Ipv6Addr {
  public:
   static constexpr int kBits = 128;
@@ -108,5 +109,36 @@ class Ipv6Addr {
   std::uint64_t hi_ = 0;
   std::uint64_t lo_ = 0;
 };
+
+/// True iff the first `bits` bits of a and b agree (bits in [0, 32]). The
+/// XOR is widened so that bits == 0 is a defined 32-bit shift yielding 0.
+constexpr bool equal_prefix_bits(Ipv4Addr a, Ipv4Addr b, int bits) {
+  return (std::uint64_t{a.value() ^ b.value()} >> (32 - bits)) == 0;
+}
+
+/// True iff the first `bits` bits of a and b agree (bits in [0, 128]).
+constexpr bool equal_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b, int bits) {
+  if (bits <= 0) return true;
+  if (bits <= 64) {
+    const std::uint64_t mask = ~std::uint64_t{0} << (64 - bits);
+    return ((a.hi() ^ b.hi()) & mask) == 0;
+  }
+  if (a.hi() != b.hi()) return false;
+  const std::uint64_t mask =
+      bits >= 128 ? ~std::uint64_t{0} : (~std::uint64_t{0} << (128 - bits));
+  return ((a.lo() ^ b.lo()) & mask) == 0;
+}
+
+/// Number of leading bits a and b share (0..32).
+constexpr int common_prefix_bits(Ipv4Addr a, Ipv4Addr b) {
+  return std::countl_zero(a.value() ^ b.value());
+}
+
+/// Number of leading bits a and b share (0..128).
+constexpr int common_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b) {
+  if (a.hi() != b.hi()) return std::countl_zero(a.hi() ^ b.hi());
+  if (a.lo() != b.lo()) return 64 + std::countl_zero(a.lo() ^ b.lo());
+  return 128;
+}
 
 }  // namespace spal::net

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
@@ -149,24 +148,31 @@ RouteTable6 make_rt6_internet(std::size_t size = 220'000);
 /// Uniformly random address inside `prefix` (host bits randomized).
 Ipv6Addr random_address_in6(const Prefix6& prefix, std::mt19937_64& rng);
 
-/// True iff the first `bits` bits of a and b agree (bits in [0, 128]).
-constexpr bool equal_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b, int bits) {
-  if (bits <= 0) return true;
-  if (bits <= 64) {
-    const std::uint64_t mask = ~std::uint64_t{0} << (64 - bits);
-    return ((a.hi() ^ b.hi()) & mask) == 0;
-  }
-  if (a.hi() != b.hi()) return false;
-  const std::uint64_t mask =
-      bits >= 128 ? ~std::uint64_t{0} : (~std::uint64_t{0} << (128 - bits));
-  return ((a.lo() ^ b.lo()) & mask) == 0;
-}
+/// The prefix, route-entry and routing-table types of an address family,
+/// so code templated on the address type (the tries, the partitioner, the
+/// router core) names the rest of its family through one parameter.
+template <typename Addr>
+struct AddrTraits;
 
-/// Number of leading bits a and b share (0..128).
-constexpr int common_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b) {
-  if (a.hi() != b.hi()) return std::countl_zero(a.hi() ^ b.hi());
-  if (a.lo() != b.lo()) return 64 + std::countl_zero(a.lo() ^ b.lo());
-  return 128;
-}
+template <>
+struct AddrTraits<Ipv4Addr> {
+  using Prefix = net::Prefix;
+  using Entry = RouteEntry;
+  using Table = RouteTable;
+};
+
+template <>
+struct AddrTraits<Ipv6Addr> {
+  using Prefix = Prefix6;
+  using Entry = RouteEntry6;
+  using Table = RouteTable6;
+};
+
+template <typename Addr>
+using PrefixOf = typename AddrTraits<Addr>::Prefix;
+template <typename Addr>
+using EntryOf = typename AddrTraits<Addr>::Entry;
+template <typename Addr>
+using TableOf = typename AddrTraits<Addr>::Table;
 
 }  // namespace spal::net

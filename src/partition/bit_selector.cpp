@@ -10,8 +10,17 @@ BitStats compute_bit_stats(std::span<const net::RouteEntry> entries, int bit) {
   return generic::compute_bit_stats(entries, bit);
 }
 
+BitStats compute_bit_stats(std::span<const net::RouteEntry6> entries, int bit) {
+  return generic::compute_bit_stats(entries, bit);
+}
+
 std::vector<int> select_control_bits(const net::RouteTable& table, int count,
                                      const BitSelectorConfig& config) {
+  return generic::select_control_bits(table, count, config.max_bit);
+}
+
+std::vector<int> select_control_bits(const net::RouteTable6& table, int count,
+                                     const BitSelector6Config& config) {
   return generic::select_control_bits(table, count, config.max_bit);
 }
 

@@ -12,7 +12,9 @@
 // For multiple control bits the criteria are applied recursively: the next
 // bit is evaluated over all current subsets jointly and one common bit is
 // chosen for every subset (the partitioning hardware examines the same bit
-// positions of every destination address).
+// positions of every destination address). Both address families take the
+// same criteria (the paper's Sec. 6 extension); each function has an IPv4
+// and an IPv6 overload.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/route_table.h"
+#include "net/prefix6.h"
 
 namespace spal::partition {
 
@@ -36,6 +38,7 @@ struct BitStats {
 };
 
 BitStats compute_bit_stats(std::span<const net::RouteEntry> entries, int bit);
+BitStats compute_bit_stats(std::span<const net::RouteEntry6> entries, int bit);
 
 /// Joint score of one candidate bit across every current subset. The paper
 /// states the two criteria but not how to arbitrate between them; since
@@ -57,18 +60,26 @@ struct BitScore {
   }
 };
 
-struct BitSelectorConfig {
-  /// Highest bit position considered, inclusive. The paper scans 0..31 but
-  /// notes Criterion (1) itself rules out large ν (most prefixes are
-  /// <= /24, so a high ν would replicate nearly everything).
-  int max_bit = 31;
+template <typename Addr>
+struct BasicBitSelectorConfig {
+  /// Highest bit position considered, inclusive: 31 on IPv4, 63 on IPv6.
+  /// The paper scans 0..31 but notes Criterion (1) itself rules out large ν
+  /// (most prefixes are <= /24, so a high ν would replicate nearly
+  /// everything). IPv6 control bits come from the routing half: /48-heavy
+  /// v6 tables make bits past ~48 mostly "*" the same way.
+  int max_bit = Addr::kBits < 64 ? Addr::kBits - 1 : 63;
 };
+
+using BitSelectorConfig = BasicBitSelectorConfig<net::Ipv4Addr>;
+using BitSelector6Config = BasicBitSelectorConfig<net::Ipv6Addr>;
 
 /// Greedily selects `count` control bits for fragmenting `table`, applying
 /// the two criteria recursively as described in Sec. 3.1. Returns the chosen
 /// bit positions in selection order.
 std::vector<int> select_control_bits(const net::RouteTable& table, int count,
                                      const BitSelectorConfig& config = {});
+std::vector<int> select_control_bits(const net::RouteTable6& table, int count,
+                                     const BitSelector6Config& config = {});
 
 /// Score of a specific bit set: splits `table` by `bits` and reports the
 /// summed subset sizes and max-min size spread. Used by tests and the

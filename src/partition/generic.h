@@ -2,9 +2,9 @@
 //
 // The control-bit selection of Sec. 3.1 and the ROT-partition construction
 // depend only on a tri-state bit view of prefixes, so one implementation
-// serves IPv4 (32-bit) and IPv6 (128-bit) tables. The concrete public APIs
-// in bit_selector.h / rot_partition.h (IPv4) and partition6.h (IPv6) wrap
-// these templates.
+// serves IPv4 (32-bit) and IPv6 (128-bit) tables. The public APIs in
+// bit_selector.h, rot_partition.h and weighted.h (one overload or template
+// instance per family) wrap these templates.
 //
 // Requirements on the types:
 //   Entry:  `.prefix` with `bit(int) -> net::PrefixBit`

@@ -16,8 +16,17 @@ int ceil_log2(int value) {
 
 }  // namespace
 
-RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
-                           const PartitionConfig& config) {
+template <typename Addr>
+BasicRotPartition<Addr>::BasicRotPartition(
+    const Table& table, int num_lcs, const BasicPartitionConfig<Addr>& config) {
+  // An explicit bit outside the address would reach Addr::bit() as a shift
+  // past the word.
+  for (const int bit : config.control_bits) {
+    if (bit < 0 || bit >= Addr::kBits) {
+      throw std::invalid_argument(
+          "RotPartition: control bit out of the address range");
+    }
+  }
   const int eta = ceil_log2(num_lcs);
   const bool weighted = eta > 0 && !uniform_weights(config.weights);
   control_bits_ = config.control_bits;
@@ -31,7 +40,7 @@ RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
     tables_.reserve(static_cast<std::size_t>(num_lcs));
     for (auto& entries : lc_entries) {
       // A group merge may duplicate an entry that was replicated into two
-      // groups packed onto the same LC; RouteTable normalization de-dups.
+      // groups packed onto the same LC; table normalization de-dups.
       tables_.emplace_back(std::move(entries));
     }
     return;
@@ -92,14 +101,16 @@ RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
   }
 }
 
-std::vector<std::size_t> RotPartition::partition_sizes() const {
+template <typename Addr>
+std::vector<std::size_t> BasicRotPartition<Addr>::partition_sizes() const {
   std::vector<std::size_t> sizes;
   sizes.reserve(tables_.size());
   for (const auto& t : tables_) sizes.push_back(t.size());
   return sizes;
 }
 
-std::vector<int> RotPartition::homes_of(const net::Prefix& prefix) const {
+template <typename Addr>
+std::vector<int> BasicRotPartition<Addr>::homes_of(const Prefix& prefix) const {
   if (control_bits_.empty()) return {0};
   // Enumerate the groups compatible with the prefix's tri-state control
   // bits — the same rule assign_groups replicates entries by.
@@ -129,6 +140,9 @@ std::vector<int> RotPartition::homes_of(const net::Prefix& prefix) const {
   lcs.erase(std::unique(lcs.begin(), lcs.end()), lcs.end());
   return lcs;
 }
+
+template class BasicRotPartition<net::Ipv4Addr>;
+template class BasicRotPartition<net::Ipv6Addr>;
 
 FragmentSizing fragment_sizing(const RotPartition& partition,
                                std::size_t input_prefixes, int replicas) {

@@ -28,12 +28,10 @@ std::vector<double> expected_loads_impl(const Partition& partition,
   return loads;
 }
 
-}  // namespace
-
-std::vector<int> select_control_bits_weighted(const net::RouteTable& table,
-                                              std::span<const double> weights,
-                                              int count,
-                                              const BitSelectorConfig& config) {
+template <typename Table, typename Config>
+std::vector<int> select_control_bits_weighted_impl(
+    const Table& table, std::span<const double> weights, int count,
+    const Config& config) {
   if (uniform_weights(weights)) {
     return select_control_bits(table, count, config);
   }
@@ -45,18 +43,20 @@ std::vector<int> select_control_bits_weighted(const net::RouteTable& table,
                                                config.max_bit);
 }
 
-std::vector<int> select_control_bits_weighted6(
-    const net::RouteTable6& table, std::span<const double> weights, int count,
-    const BitSelector6Config& config) {
-  if (uniform_weights(weights)) {
-    return select_control_bits6(table, count, config);
-  }
-  if (weights.size() != table.size()) {
-    throw std::invalid_argument(
-        "select_control_bits_weighted6: weights must parallel table entries");
-  }
-  return generic::select_control_bits_weighted(table, weights, count,
-                                               config.max_bit);
+}  // namespace
+
+std::vector<int> select_control_bits_weighted(const net::RouteTable& table,
+                                              std::span<const double> weights,
+                                              int count,
+                                              const BitSelectorConfig& config) {
+  return select_control_bits_weighted_impl(table, weights, count, config);
+}
+
+std::vector<int> select_control_bits_weighted(const net::RouteTable6& table,
+                                              std::span<const double> weights,
+                                              int count,
+                                              const BitSelector6Config& config) {
+  return select_control_bits_weighted_impl(table, weights, count, config);
 }
 
 std::vector<double> expected_loads(const RotPartition& partition,
@@ -65,9 +65,9 @@ std::vector<double> expected_loads(const RotPartition& partition,
   return expected_loads_impl(partition, table, weights);
 }
 
-std::vector<double> expected_loads6(const RotPartition6& partition,
-                                    const net::RouteTable6& table,
-                                    std::span<const double> weights) {
+std::vector<double> expected_loads(const RotPartition6& partition,
+                                   const net::RouteTable6& table,
+                                   std::span<const double> weights) {
   return expected_loads_impl(partition, table, weights);
 }
 

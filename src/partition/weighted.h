@@ -36,7 +36,6 @@
 
 #include "net/prefix.h"
 #include "partition/generic.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 
 namespace spal::partition {
@@ -361,7 +360,7 @@ std::vector<int> select_control_bits_weighted(const Table& table,
 std::vector<int> select_control_bits_weighted(
     const net::RouteTable& table, std::span<const double> weights, int count,
     const BitSelectorConfig& config = {});
-std::vector<int> select_control_bits_weighted6(
+std::vector<int> select_control_bits_weighted(
     const net::RouteTable6& table, std::span<const double> weights, int count,
     const BitSelector6Config& config = {});
 
@@ -373,8 +372,8 @@ std::vector<int> select_control_bits_weighted6(
 std::vector<double> expected_loads(const RotPartition& partition,
                                    const net::RouteTable& table,
                                    std::span<const double> weights);
-std::vector<double> expected_loads6(const RotPartition6& partition,
-                                    const net::RouteTable6& table,
-                                    std::span<const double> weights);
+std::vector<double> expected_loads(const RotPartition6& partition,
+                                   const net::RouteTable6& table,
+                                   std::span<const double> weights);
 
 }  // namespace spal::partition

@@ -2,16 +2,22 @@
 
 namespace spal::trie {
 
-BinaryTrie::BinaryTrie() { nodes_.emplace_back(); }
-
-BinaryTrie::BinaryTrie(const net::RouteTable& table) : BinaryTrie() {
-  for (const net::RouteEntry& e : table.entries()) insert(e.prefix, e.next_hop);
+template <typename Addr>
+BasicBinaryTrie<Addr>::BasicBinaryTrie() {
+  nodes_.emplace_back();
 }
 
-std::int32_t BinaryTrie::descend_or_create(const net::Prefix& prefix) {
+template <typename Addr>
+BasicBinaryTrie<Addr>::BasicBinaryTrie(const Table& table) : BasicBinaryTrie() {
+  for (const auto& e : table.entries()) insert(e.prefix, e.next_hop);
+}
+
+template <typename Addr>
+void BasicBinaryTrie<Addr>::insert(const Prefix& prefix, net::NextHop next_hop) {
+  const Addr key = prefix.address();
   std::int32_t node = 0;
   for (int depth = 0; depth < prefix.length(); ++depth) {
-    const int bit = static_cast<int>(prefix.bit(depth));
+    const int bit = key.bit(depth);
     std::int32_t child = nodes_[static_cast<std::size_t>(node)].child[bit];
     if (child < 0) {
       child = static_cast<std::int32_t>(nodes_.size());
@@ -20,19 +26,15 @@ std::int32_t BinaryTrie::descend_or_create(const net::Prefix& prefix) {
     }
     node = child;
   }
-  return node;
-}
-
-void BinaryTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
-  const std::int32_t node = descend_or_create(prefix);
   nodes_[static_cast<std::size_t>(node)].next_hop = next_hop;
 }
 
-bool BinaryTrie::remove(const net::Prefix& prefix) {
+template <typename Addr>
+bool BasicBinaryTrie<Addr>::remove(const Prefix& prefix) {
+  const Addr key = prefix.address();
   std::int32_t node = 0;
   for (int depth = 0; depth < prefix.length(); ++depth) {
-    node = nodes_[static_cast<std::size_t>(node)]
-               .child[static_cast<int>(prefix.bit(depth))];
+    node = nodes_[static_cast<std::size_t>(node)].child[key.bit(depth)];
     if (node < 0) return false;
   }
   Node& target = nodes_[static_cast<std::size_t>(node)];
@@ -41,35 +43,40 @@ bool BinaryTrie::remove(const net::Prefix& prefix) {
   return true;
 }
 
-net::NextHop BinaryTrie::lookup(net::Ipv4Addr addr) const {
+template <typename Addr>
+template <bool kCounted>
+net::NextHop BasicBinaryTrie<Addr>::lookup_impl(Addr addr,
+                                                MemAccessCounter* counter) const {
   net::NextHop best = net::kNoRoute;
   std::int32_t node = 0;
-  for (int depth = 0; node >= 0 && depth <= net::Ipv4Addr::kBits; ++depth) {
+  for (int depth = 0; node >= 0 && depth <= Addr::kBits; ++depth) {
+    if constexpr (kCounted) counter->record();  // one node read per level
     const Node& n = nodes_[static_cast<std::size_t>(node)];
     if (n.next_hop != net::kNoRoute) best = n.next_hop;
-    if (depth == net::Ipv4Addr::kBits) break;
+    if (depth == Addr::kBits) break;
     node = n.child[addr.bit(depth)];
   }
   return best;
 }
 
-net::NextHop BinaryTrie::lookup_counted(net::Ipv4Addr addr,
-                                        MemAccessCounter& counter) const {
-  net::NextHop best = net::kNoRoute;
-  std::int32_t node = 0;
-  for (int depth = 0; node >= 0 && depth <= net::Ipv4Addr::kBits; ++depth) {
-    counter.record();  // one node read per level visited
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    if (n.next_hop != net::kNoRoute) best = n.next_hop;
-    if (depth == net::Ipv4Addr::kBits) break;
-    node = n.child[addr.bit(depth)];
-  }
-  return best;
+template <typename Addr>
+net::NextHop BasicBinaryTrie<Addr>::lookup(Addr addr) const {
+  return lookup_impl<false>(addr, nullptr);
 }
 
-std::size_t BinaryTrie::storage_bytes() const {
+template <typename Addr>
+net::NextHop BasicBinaryTrie<Addr>::lookup_counted(
+    Addr addr, MemAccessCounter& counter) const {
+  return lookup_impl<true>(addr, &counter);
+}
+
+template <typename Addr>
+std::size_t BasicBinaryTrie<Addr>::storage_bytes() const {
   // Two 4-byte child pointers + 4-byte next hop per node.
   return nodes_.size() * (2 * 4 + 4);
 }
+
+template class BasicBinaryTrie<net::Ipv4Addr>;
+template class BasicBinaryTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -3,7 +3,10 @@
 // This is the library's correctness oracle: the simplest possible LPM
 // structure, supporting incremental insert/remove (used by the update tests)
 // as well as the immutable LpmIndex interface. It is also the "no
-// compression" reference point the other tries are judged against.
+// compression" reference point the other tries are judged against, and —
+// as BinaryTrie6 — the storage yardstick for the Sec. 6 IPv6 extension (the
+// paper argues SPAL's SRAM reduction grows under IPv6 because tries get
+// several times larger).
 #pragma once
 
 #include <cstdint>
@@ -13,24 +16,28 @@
 
 namespace spal::trie {
 
-class BinaryTrie final : public LpmIndex {
+template <typename Addr>
+class BasicBinaryTrie final : public BasicLpmIndex<Addr> {
  public:
-  BinaryTrie();
-  explicit BinaryTrie(const net::RouteTable& table);
+  using Prefix = net::PrefixOf<Addr>;
+  using Table = net::TableOf<Addr>;
+
+  BasicBinaryTrie();
+  explicit BasicBinaryTrie(const Table& table);
 
   /// Inserts or replaces `prefix`.
-  void insert(const net::Prefix& prefix, net::NextHop next_hop) override;
+  void insert(const Prefix& prefix, net::NextHop next_hop) override;
 
-  /// Removes `prefix` exactly; returns true if it was present.
-  /// (Nodes are not reclaimed; the empty chain left behind costs 12 bytes a
-  /// node and never changes lookup results.)
-  bool remove(const net::Prefix& prefix) override;
+  /// Removes `prefix` exactly (the default route included); returns true if
+  /// it was present. (Nodes are not reclaimed; the empty chain left behind
+  /// costs 12 bytes a node and never changes lookup results.)
+  bool remove(const Prefix& prefix) override;
 
   bool supports_incremental_update() const override { return true; }
 
   // LpmIndex:
-  net::NextHop lookup(net::Ipv4Addr addr) const override;
-  net::NextHop lookup_counted(net::Ipv4Addr addr,
+  net::NextHop lookup(Addr addr) const override;
+  net::NextHop lookup_counted(Addr addr,
                               MemAccessCounter& counter) const override;
   std::size_t storage_bytes() const override;
   std::string_view name() const override { return "binary"; }
@@ -43,9 +50,16 @@ class BinaryTrie final : public LpmIndex {
     net::NextHop next_hop = net::kNoRoute;
   };
 
-  std::int32_t descend_or_create(const net::Prefix& prefix);
+  template <bool kCounted>
+  net::NextHop lookup_impl(Addr addr, MemAccessCounter* counter) const;
 
   std::vector<Node> nodes_;  // nodes_[0] is the root
 };
+
+extern template class BasicBinaryTrie<net::Ipv4Addr>;
+extern template class BasicBinaryTrie<net::Ipv6Addr>;
+
+using BinaryTrie = BasicBinaryTrie<net::Ipv4Addr>;
+using BinaryTrie6 = BasicBinaryTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -1,34 +1,21 @@
 #include "trie/dp_trie.h"
 
 #include <algorithm>
-#include <bit>
+#include <type_traits>
 
 namespace spal::trie {
 namespace {
 
-/// Bit of an MSB-aligned 32-bit key at position `pos` (0 = MSB).
-inline int key_bit(std::uint32_t key, int pos) {
-  return static_cast<int>((key >> (31 - pos)) & 1u);
-}
-
 /// `key` truncated to its first `len` bits (low bits zeroed).
-inline std::uint32_t key_head(std::uint32_t key, int len) {
-  return len == 0 ? 0 : (key & (~std::uint32_t{0} << (32 - len)));
-}
-
-/// First position in [from, limit) where the keys differ; `limit` if none.
-inline int first_divergence(std::uint32_t a, std::uint32_t b, int from,
-                            int limit) {
-  const std::uint32_t diff = (a ^ b) & (limit == 0 ? 0 : ~std::uint32_t{0}
-                                                             << (32 - limit));
-  if (diff == 0) return limit;
-  const int pos = std::countl_zero(diff);
-  return pos < from ? from : pos;  // callers guarantee agreement below `from`
+template <typename Addr>
+Addr key_head(const Addr& key, int len) {
+  return net::PrefixOf<Addr>(key, len).address();
 }
 
 }  // namespace
 
-DpTrie::DpTrie(const net::RouteTable& table) {
+template <typename Addr>
+BasicDpTrie<Addr>::BasicDpTrie(const Table& table) {
   // Sort-based single-pass bulk build. The compressed structure is
   // canonical — its nodes are exactly the root, the stored prefixes, and
   // the branching points between them — so one left-to-right pass over the
@@ -54,16 +41,16 @@ DpTrie::DpTrie(const net::RouteTable& table) {
 
   // Spine of node ids; a node's depth is its index field.
   std::vector<std::int32_t> spine{0};
-  spine.reserve(64);
-  std::uint32_t prev_key = 0;
+  spine.reserve(Addr::kBits + 1);
+  Addr prev_key;
   for (std::size_t i = lo; i < entries.size(); ++i) {
-    const std::uint32_t key = entries[i].prefix.bits();
+    const Addr key = entries[i].prefix.address();
     const int len = entries[i].prefix.length();
     // Depth where this key leaves the previous entry's path; the first
     // entry attaches under the root (d = 0 pops nothing). When the keys are
     // equal (same bits, longer length) nothing pops either and the entry
     // chains under the previous node, exactly like a per-entry insert.
-    const int d = i == lo ? 0 : first_divergence(prev_key, key, 0, 32);
+    const int d = i == lo ? 0 : net::common_prefix_bits(prev_key, key);
     prev_key = key;
 
     std::int32_t popped = -1;
@@ -85,8 +72,8 @@ DpTrie::DpTrie(const net::RouteTable& table) {
       bn.parent = parent;
       bn.child[0] = popped;
       nodes_[static_cast<std::size_t>(popped)].parent = branch;
-      nodes_[static_cast<std::size_t>(parent)]
-          .child[key_bit(key, parent_depth)] = branch;
+      nodes_[static_cast<std::size_t>(parent)].child[key.bit(parent_depth)] =
+          branch;
       spine.push_back(branch);
       parent = branch;
     }
@@ -97,18 +84,19 @@ DpTrie::DpTrie(const net::RouteTable& table) {
     const std::int32_t id = static_cast<std::int32_t>(nodes_.size());
     nodes_.emplace_back();
     Node& n = nodes_.back();
-    n.key = key_head(key, len);
+    n.key = key;  // already masked to `len` bits
     n.index = static_cast<std::uint8_t>(len);
     n.parent = parent;
     n.has_prefix = true;
     n.next_hop = entries[i].next_hop;
     Node& p = nodes_[static_cast<std::size_t>(parent)];
-    p.child[key_bit(key, p.index)] = id;
+    p.child[key.bit(p.index)] = id;
     spine.push_back(id);
   }
 }
 
-std::int32_t DpTrie::alloc_node() {
+template <typename Addr>
+std::int32_t BasicDpTrie<Addr>::alloc_node() {
   if (!free_.empty()) {
     const std::int32_t id = free_.back();
     free_.pop_back();
@@ -119,11 +107,10 @@ std::int32_t DpTrie::alloc_node() {
   return static_cast<std::int32_t>(nodes_.size() - 1);
 }
 
-void DpTrie::free_node(std::int32_t id) { free_.push_back(id); }
-
-void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
+template <typename Addr>
+void BasicDpTrie<Addr>::insert(const Prefix& prefix, net::NextHop next_hop) {
   const int len = prefix.length();
-  const std::uint32_t key = prefix.bits();  // already masked to `len` bits
+  const Addr key = prefix.address();  // already masked to `len` bits
   std::int32_t cur = 0;
   // Invariant: nodes_[cur].key agrees with `key` on min(index, len) bits and
   // nodes_[cur].index <= len.
@@ -134,7 +121,7 @@ void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
       n.next_hop = next_hop;
       return;
     }
-    const int slot = key_bit(key, n.index);
+    const int slot = key.bit(n.index);
     const std::int32_t child = n.child[slot];
     if (child < 0) {
       const std::int32_t leaf = alloc_node();
@@ -149,7 +136,7 @@ void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
     }
     Node& c = nodes_[static_cast<std::size_t>(child)];
     const int edge_end = std::min<int>(c.index, len);
-    const int d = first_divergence(key, c.key, n.index, edge_end);
+    const int d = std::min(net::common_prefix_bits(key, c.key), edge_end);
     if (d == edge_end && c.index <= len) {
       cur = child;  // the child's whole compressed edge matches: descend
       continue;
@@ -165,7 +152,7 @@ void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
       mn.has_prefix = true;
       mn.next_hop = next_hop;
       mn.parent = cur;
-      mn.child[key_bit(cc.key, len)] = child;
+      mn.child[cc.key.bit(len)] = child;
       cc.parent = mid;
       nodes_[static_cast<std::size_t>(cur)].child[slot] = mid;
       return;
@@ -181,8 +168,8 @@ void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
     bn.key = key_head(key, d);
     bn.index = static_cast<std::uint8_t>(d);
     bn.parent = cur;
-    bn.child[key_bit(cc.key, d)] = child;
-    bn.child[key_bit(key, d)] = leaf;
+    bn.child[cc.key.bit(d)] = child;
+    bn.child[key.bit(d)] = leaf;
     cc.parent = branch;
     ln.key = key;
     ln.index = static_cast<std::uint8_t>(len);
@@ -194,7 +181,8 @@ void DpTrie::insert(const net::Prefix& prefix, net::NextHop next_hop) {
   }
 }
 
-void DpTrie::maybe_splice(std::int32_t id) {
+template <typename Addr>
+void BasicDpTrie<Addr>::maybe_splice(std::int32_t id) {
   while (id > 0) {
     Node& n = nodes_[static_cast<std::size_t>(id)];
     if (n.has_prefix) return;
@@ -208,31 +196,33 @@ void DpTrie::maybe_splice(std::int32_t id) {
       const std::int32_t child = n.child[0] >= 0 ? n.child[0] : n.child[1];
       p.child[slot] = child;
       nodes_[static_cast<std::size_t>(child)].parent = parent;
-      free_node(id);
+      free_.push_back(id);
       return;  // parent's child count is unchanged
     }
     p.child[slot] = -1;  // empty subtree: drop and re-check the parent
-    free_node(id);
+    free_.push_back(id);
     id = parent;
   }
 }
 
-bool DpTrie::remove(const net::Prefix& prefix) {
+template <typename Addr>
+bool BasicDpTrie<Addr>::remove(const Prefix& prefix) {
   const int len = prefix.length();
-  const std::uint32_t key = prefix.bits();
+  const Addr key = prefix.address();
   std::int32_t cur = 0;
   while (nodes_[static_cast<std::size_t>(cur)].index < len) {
     const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    const std::int32_t child = n.child[key_bit(key, n.index)];
+    const std::int32_t child = n.child[key.bit(n.index)];
     if (child < 0) return false;
     const Node& c = nodes_[static_cast<std::size_t>(child)];
-    if (c.index > len || key_head(c.key, c.index) != key_head(key, c.index)) {
+    if (c.index > len || !net::equal_prefix_bits(key, c.key, c.index)) {
       return false;  // the compressed edge skips past or diverges from `key`
     }
     cur = child;
   }
   Node& n = nodes_[static_cast<std::size_t>(cur)];
-  if (n.index != len || !n.has_prefix || key_head(n.key, len) != key) {
+  if (n.index != len || !n.has_prefix ||
+      !net::equal_prefix_bits(key, n.key, len)) {
     return false;
   }
   n.has_prefix = false;
@@ -241,9 +231,10 @@ bool DpTrie::remove(const net::Prefix& prefix) {
   return true;
 }
 
+template <typename Addr>
 template <bool kCounted>
-net::NextHop DpTrie::lookup_impl(net::Ipv4Addr addr,
-                                 MemAccessCounter* counter) const {
+net::NextHop BasicDpTrie<Addr>::lookup_impl(Addr addr,
+                                            MemAccessCounter* counter) const {
   net::NextHop best = net::kNoRoute;
   std::int32_t node = 0;
   while (node >= 0) {
@@ -255,33 +246,38 @@ net::NextHop DpTrie::lookup_impl(net::Ipv4Addr addr,
     // whole path, so skipped-bit mismatches can never produce a false match.
     if (n.has_prefix) {
       if constexpr (kCounted) counter->record();  // key comparison read
-      if (n.index > 0) {
-        const std::uint32_t mask = ~std::uint32_t{0} << (32 - n.index);
-        if (((addr.value() ^ n.key) & mask) != 0) break;
-      }
+      if (!net::equal_prefix_bits(addr, n.key, n.index)) break;
       best = n.next_hop;
     }
-    if (n.index >= net::Ipv4Addr::kBits) break;
+    if (n.index >= Addr::kBits) break;
     node = n.child[addr.bit(n.index)];
   }
   return best;
 }
 
-net::NextHop DpTrie::lookup(net::Ipv4Addr addr) const {
-  MemAccessCounter unused;
-  return lookup_impl<false>(addr, &unused);
+template <typename Addr>
+net::NextHop BasicDpTrie<Addr>::lookup(Addr addr) const {
+  return lookup_impl<false>(addr, nullptr);
 }
 
-net::NextHop DpTrie::lookup_counted(net::Ipv4Addr addr,
-                                    MemAccessCounter& counter) const {
+template <typename Addr>
+net::NextHop BasicDpTrie<Addr>::lookup_counted(Addr addr,
+                                               MemAccessCounter& counter) const {
   return lookup_impl<true>(addr, &counter);
 }
 
-std::size_t DpTrie::storage_bytes() const {
+template <typename Addr>
+std::size_t BasicDpTrie<Addr>::storage_bytes() const {
   // The SPAL paper's stated DP-trie node layout: 1-byte index field plus
-  // five 4-byte pointers (left, right, parent, key, prefix-data). Freed
-  // slots are reusable, so only live nodes count.
-  return node_count() * (1 + 5 * 4);
+  // five 4-byte pointers (left, right, parent, key, prefix-data); an IPv6
+  // node also holds its 16-byte key. Freed slots are reusable, so only live
+  // nodes count.
+  constexpr std::size_t kNodeBytes =
+      1 + 5 * 4 + (std::is_same_v<Addr, net::Ipv6Addr> ? 16 : 0);
+  return node_count() * kNodeBytes;
 }
+
+template class BasicDpTrie<net::Ipv4Addr>;
+template class BasicDpTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -6,10 +6,14 @@
 // via each node's index (bit-position) field, and skipped bits are verified
 // against the node's key during search — the behaviour that gives the DP
 // trie its characteristic ~16 memory accesses per lookup on backbone tables
-// (Sec. 5.1 of the SPAL paper).
+// (Sec. 5.1 of the SPAL paper). Over IPv6 (DpTrie6) the same compression
+// bounds the walk by the prefix population instead of the 128 levels a
+// plain binary trie would take — the property the paper's Sec. 6
+// feasibility claim needs, and the IPv6 router's forwarding engine.
 //
 // Storage model (Sec. 4 of the SPAL paper): each node is one byte for the
-// index field plus five 4-byte pointers, i.e. 21 bytes per node.
+// index field plus five 4-byte pointers, i.e. 21 bytes per node; IPv6 nodes
+// add the 16-byte key, 37 bytes per node.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +23,17 @@
 
 namespace spal::trie {
 
-class DpTrie final : public LpmIndex {
+template <typename Addr>
+class BasicDpTrie final : public BasicLpmIndex<Addr> {
  public:
-  explicit DpTrie(const net::RouteTable& table);
+  using Prefix = net::PrefixOf<Addr>;
+  using Table = net::TableOf<Addr>;
+
+  explicit BasicDpTrie(const Table& table);
 
   // LpmIndex:
-  net::NextHop lookup(net::Ipv4Addr addr) const override;
-  net::NextHop lookup_counted(net::Ipv4Addr addr,
+  net::NextHop lookup(Addr addr) const override;
+  net::NextHop lookup_counted(Addr addr,
                               MemAccessCounter& counter) const override;
   std::size_t storage_bytes() const override;
   std::string_view name() const override { return "dp"; }
@@ -35,15 +43,15 @@ class DpTrie final : public LpmIndex {
   // clears the prefix and splices out the node when it stops branching,
   // returning its slot to a free list. No rebuild, ever.
   bool supports_incremental_update() const override { return true; }
-  void insert(const net::Prefix& prefix, net::NextHop next_hop) override;
-  bool remove(const net::Prefix& prefix) override;
+  void insert(const Prefix& prefix, net::NextHop next_hop) override;
+  bool remove(const Prefix& prefix) override;
 
   /// Live (reachable) nodes; freed slots are excluded.
   std::size_t node_count() const { return nodes_.size() - free_.size(); }
 
  private:
   struct Node {
-    std::uint32_t key = 0;       ///< path bits down to this node (MSB-aligned)
+    Addr key;                    ///< path bits down to this node
     std::uint8_t index = 0;      ///< depth: number of key bits that are fixed
     bool has_prefix = false;     ///< node stores a routing-table prefix
     net::NextHop next_hop = net::kNoRoute;
@@ -52,10 +60,9 @@ class DpTrie final : public LpmIndex {
   };
 
   template <bool kCounted>
-  net::NextHop lookup_impl(net::Ipv4Addr addr, MemAccessCounter* counter) const;
+  net::NextHop lookup_impl(Addr addr, MemAccessCounter* counter) const;
 
   std::int32_t alloc_node();
-  void free_node(std::int32_t id);
   /// Splices `id` out if it is a non-root pass-through (no prefix, <2
   /// children), cascading to its parent when it empties.
   void maybe_splice(std::int32_t id);
@@ -63,5 +70,11 @@ class DpTrie final : public LpmIndex {
   std::vector<Node> nodes_;  // nodes_[0] is the root (depth 0)
   std::vector<std::int32_t> free_;  // reclaimed slots for reuse
 };
+
+extern template class BasicDpTrie<net::Ipv4Addr>;
+extern template class BasicDpTrie<net::Ipv6Addr>;
+
+using DpTrie = BasicDpTrie<net::Ipv4Addr>;
+using DpTrie6 = BasicDpTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -10,14 +10,20 @@
 namespace spal::trie {
 namespace {
 
-/// `count` bits of `word` starting at MSB-relative `pos`, right-aligned.
-inline std::uint32_t extract(int pos, int count, std::uint32_t word) {
-  if (count == 0) return 0;
-  return (word >> (32 - pos - count)) &
-         (count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1));
-}
-
 inline void prefetch(const void* address) { __builtin_prefetch(address, 0, 3); }
+
+/// The batch pipeline's `count`-bit field of `addr` at MSB-relative `pos`.
+/// The IPv4 form is branch-free: count == 0 yields 0 via the zero mask, and
+/// the shift amount is clamped so it stays defined where Ipv4Addr::bits
+/// would branch.
+inline std::uint32_t field(net::Ipv4Addr addr, int pos, int count) {
+  const std::uint32_t mask =
+      count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1u);
+  return (addr.value() >> ((32 - pos - count) & 31)) & mask;
+}
+inline std::uint32_t field(const net::Ipv6Addr& addr, int pos, int count) {
+  return addr.bits(pos, count);
+}
 
 /// Below this many base entries the bulk build runs its per-pattern subtree
 /// pass inline: small builds (including epoch rebuilds of per-LC fragments)
@@ -29,23 +35,35 @@ constexpr std::size_t kParallelBuildMin = 65536;
 /// dominating.
 constexpr std::size_t kPatternBatch = 256;
 
+/// Storage-model bytes of a base entry: the address string plus length,
+/// next hop and chain pointer — 12 B on IPv4, 24 B on IPv6.
+template <typename Addr>
+constexpr std::size_t kBaseEntryBytes = Addr::kBits / 8 + 8;
+
 }  // namespace
 
-LcTrie::LcTrie(const net::RouteTable& table, double fill_factor,
-               int max_root_branch, std::size_t packed_limit)
+template <typename Addr>
+BasicLcTrie<Addr>::BasicLcTrie(const Table& table, double fill_factor,
+                               int max_root_branch, std::size_t packed_limit)
     : fill_factor_(fill_factor), max_root_branch_(max_root_branch) {
+  // Under a fill factor of 0, below 0 or NaN the fill test in
+  // compute_branch never fails, and every node of three or more entries
+  // would widen to kMaxBranch.
+  if (!(fill_factor > 0.0)) {
+    throw std::invalid_argument("LcTrie: fill factor must be > 0");
+  }
   // Split into base vector (non-covering prefixes) and internal prefix
   // vector. Entries arrive sorted by (bits, length), so a prefix is internal
   // iff it covers the immediately following entry, and a stack of currently
   // open internal prefixes yields each entry's covering chain.
   const auto entries = table.entries();
   struct Open {
-    net::Prefix prefix;
+    net::PrefixOf<Addr> prefix;
     std::int32_t pre_index;
   };
   std::vector<Open> stack;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const net::RouteEntry& e = entries[i];
+    const auto& e = entries[i];
     while (!stack.empty() && !stack.back().prefix.covers(e.prefix)) stack.pop_back();
     const std::int32_t parent = stack.empty() ? -1 : stack.back().pre_index;
     const bool internal =
@@ -56,7 +74,7 @@ LcTrie::LcTrie(const net::RouteTable& table, double fill_factor,
                               e.next_hop, parent});
       stack.push_back(Open{e.prefix, pre_index});
     } else {
-      base_.push_back(BaseEntry{e.prefix.bits(),
+      base_.push_back(BaseEntry{e.prefix.address(),
                                 static_cast<std::uint8_t>(e.prefix.length()),
                                 e.next_hop, parent});
     }
@@ -78,18 +96,16 @@ LcTrie::LcTrie(const net::RouteTable& table, double fill_factor,
   }
 }
 
-int LcTrie::compute_branch(std::size_t first, std::size_t n, int pos,
-                           int* skip_out) const {
+template <typename Addr>
+int BasicLcTrie<Addr>::compute_branch(std::size_t first, std::size_t n,
+                                      int pos, int* skip_out) const {
   // Path compression: bits shared by every entry in [first, first+n) from
-  // `pos` on. Entries are sorted, so the common prefix of the first and last
-  // is the common prefix of all.
-  const std::uint32_t low = base_[first].bits;
-  const std::uint32_t high = base_[first + n - 1].bits;
-  int skip = 0;
-  while (pos + skip < 32 &&
-         extract(pos + skip, 1, low) == extract(pos + skip, 1, high)) {
-    ++skip;
-  }
+  // `pos` on. Entries are sorted (with distinct bits) and share the node's
+  // path below `pos`, so the common prefix of the first and last is the
+  // common prefix of all.
+  const int skip =
+      net::common_prefix_bits(base_[first].bits, base_[first + n - 1].bits) -
+      pos;
   *skip_out = skip;
   const int branch_pos = pos + skip;
   if (n == 2) return 1;
@@ -98,16 +114,16 @@ int LcTrie::compute_branch(std::size_t first, std::size_t n, int pos,
   int branch = 1;
   for (;;) {
     const int next = branch + 1;
-    if (branch_pos + next > 32) break;
+    if (branch_pos + next > Addr::kBits || next > kMaxBranch) break;
     if (pos == 0 && next > max_root_branch_) break;
     if (static_cast<double>(n) <
         fill_factor_ * static_cast<double>(1u << next)) {
       break;
     }
     std::size_t patterns = 1;
-    std::uint32_t prev = extract(branch_pos, next, base_[first].bits);
+    std::uint32_t prev = base_[first].bits.bits(branch_pos, next);
     for (std::size_t i = first + 1; i < first + n; ++i) {
-      const std::uint32_t cur = extract(branch_pos, next, base_[i].bits);
+      const std::uint32_t cur = base_[i].bits.bits(branch_pos, next);
       if (cur != prev) {
         ++patterns;
         prev = cur;
@@ -122,8 +138,25 @@ int LcTrie::compute_branch(std::size_t first, std::size_t n, int pos,
   return branch;
 }
 
-void LcTrie::build_at(std::vector<WideNode>& out, std::size_t node_index,
-                      std::size_t first, std::size_t n, int pos) const {
+template <typename Addr>
+std::size_t BasicLcTrie<Addr>::empty_slot_neighbour(
+    std::size_t first, std::size_t last, std::size_t p, int branch_pos,
+    int branch, std::uint32_t pattern) const {
+  if (p == first) return p;
+  if (p == last) return p - 1;
+  // Both neighbours share the slot's path below branch_pos and differ from
+  // its pattern inside the branch field, so the longer shared prefix
+  // belongs to the one whose field first differs in a lower bit.
+  const auto differing_bits = [&](std::size_t q) {
+    return std::bit_width(base_[q].bits.bits(branch_pos, branch) ^ pattern);
+  };
+  return differing_bits(p - 1) <= differing_bits(p) ? p - 1 : p;
+}
+
+template <typename Addr>
+void BasicLcTrie<Addr>::build_at(std::vector<WideNode>& out,
+                                 std::size_t node_index, std::size_t first,
+                                 std::size_t n, int pos) const {
   if (n == 1) {
     out[node_index] = WideNode::make(0, 0, static_cast<std::uint32_t>(first));
     return;
@@ -135,37 +168,20 @@ void LcTrie::build_at(std::vector<WideNode>& out, std::size_t node_index,
   out[node_index] = WideNode::make(static_cast<std::uint32_t>(branch),
                                    static_cast<std::uint32_t>(skip),
                                    static_cast<std::uint32_t>(adr));
-  const int child_pos = pos + skip + branch;
+  const int branch_pos = pos + skip;
+  const int child_pos = branch_pos + branch;
   std::size_t p = first;
   for (std::uint32_t pattern = 0; pattern < (1u << branch); ++pattern) {
     std::size_t k = 0;
     while (p + k < first + n &&
-           extract(pos + skip, branch, base_[p + k].bits) == pattern) {
+           base_[p + k].bits.bits(branch_pos, branch) == pattern) {
       ++k;
     }
     if (k == 0) {
-      // Empty child: point at whichever sorted neighbour shares the longest
-      // prefix with this slot's path — its prefix chain then contains every
-      // prefix that can match addresses falling into the slot (the explicit
-      // comparison at the leaf rejects the leaf itself when appropriate).
-      const std::uint32_t slot_path =
-          (pos + skip == 0 ? 0
-                           : (base_[first].bits &
-                              (~std::uint32_t{0} << (32 - pos - skip)))) |
-          (pattern << (32 - child_pos));
-      std::size_t neighbour;
-      if (p == first) {
-        neighbour = p;
-      } else if (p == first + n) {
-        neighbour = p - 1;
-      } else {
-        const auto lcp = [slot_path](std::uint32_t bits) {
-          const std::uint32_t diff = bits ^ slot_path;
-          return diff == 0 ? 32 : std::countl_zero(diff);
-        };
-        neighbour = lcp(base_[p - 1].bits) >= lcp(base_[p].bits) ? p - 1 : p;
-      }
-      build_at(out, adr + pattern, neighbour, 1, child_pos);
+      build_at(out, adr + pattern,
+               empty_slot_neighbour(first, first + n, p, branch_pos, branch,
+                                    pattern),
+               1, child_pos);
     } else {
       build_at(out, adr + pattern, p, k, child_pos);
       p += k;
@@ -173,7 +189,8 @@ void LcTrie::build_at(std::vector<WideNode>& out, std::size_t node_index,
   }
 }
 
-void LcTrie::build_nodes(std::vector<WideNode>& out) const {
+template <typename Addr>
+void BasicLcTrie<Addr>::build_nodes(std::vector<WideNode>& out) const {
   out.clear();
   const std::size_t n = base_.size();
   if (n == 1) {
@@ -201,27 +218,10 @@ void LcTrie::build_nodes(std::vector<WideNode>& out) const {
   std::size_t p = 0;
   for (std::uint32_t pattern = 0; pattern < fan; ++pattern) {
     std::size_t k = 0;
-    while (p + k < n && extract(skip, branch, base_[p + k].bits) == pattern) {
-      ++k;
-    }
+    while (p + k < n && base_[p + k].bits.bits(skip, branch) == pattern) ++k;
     if (k == 0) {
-      const std::uint32_t slot_path =
-          (skip == 0 ? 0
-                     : (base_[0].bits & (~std::uint32_t{0} << (32 - skip)))) |
-          (pattern << (32 - child_pos));
-      std::size_t neighbour;
-      if (p == 0) {
-        neighbour = p;
-      } else if (p == n) {
-        neighbour = p - 1;
-      } else {
-        const auto lcp = [slot_path](std::uint32_t bits) {
-          const std::uint32_t diff = bits ^ slot_path;
-          return diff == 0 ? 32 : std::countl_zero(diff);
-        };
-        neighbour = lcp(base_[p - 1].bits) >= lcp(base_[p].bits) ? p - 1 : p;
-      }
-      tasks[pattern] = Task{neighbour, 0};
+      tasks[pattern] =
+          Task{empty_slot_neighbour(0, n, p, skip, branch, pattern), 0};
     } else {
       tasks[pattern] = Task{p, k};
       p += k;
@@ -283,66 +283,64 @@ void LcTrie::build_nodes(std::vector<WideNode>& out) const {
   }
 }
 
+template <typename Addr>
 template <bool kCounted, typename NodeT>
-net::NextHop LcTrie::lookup_impl(const NodeT* nodes, net::Ipv4Addr addr,
-                                 MemAccessCounter* counter) const {
-  const std::uint32_t s = addr.value();
+net::NextHop BasicLcTrie<Addr>::lookup_impl(const NodeT* nodes, Addr addr,
+                                            MemAccessCounter* counter) const {
   if constexpr (kCounted) counter->record_arena(lc_detail::kArenaNodes);
   NodeT node = nodes[0];
   int pos = static_cast<int>(node.skip());
   while (node.branch() != 0) {
     if constexpr (kCounted) counter->record_arena(lc_detail::kArenaNodes);
     const int parent_branch = static_cast<int>(node.branch());
-    node = nodes[node.adr() + extract(pos, parent_branch, s)];
+    node = nodes[node.adr() + addr.bits(pos, parent_branch)];
     // Consume the parent's branch bits plus the child's skipped bits.
     pos += parent_branch + static_cast<int>(node.skip());
   }
   if constexpr (kCounted) counter->record_arena(lc_detail::kArenaBase);
   const BaseEntry& base = base_[node.adr()];
-  const std::uint32_t diff = base.bits ^ s;
-  if (extract(0, base.len, diff) == 0) return base.next_hop;
+  if (net::equal_prefix_bits(addr, base.bits, base.len)) return base.next_hop;
   // Explicit comparison failed; walk the chain of covering internal
-  // prefixes (longest first).
+  // prefixes (longest first). They share the base entry's bits up to their
+  // own lengths, so the comparison reads those.
   std::int32_t pre = base.pre;
   while (pre >= 0) {
     if constexpr (kCounted) counter->record_arena(lc_detail::kArenaPre);
     const PreEntry& entry = pre_[static_cast<std::size_t>(pre)];
-    if (extract(0, entry.len, diff) == 0) return entry.next_hop;
+    if (net::equal_prefix_bits(addr, base.bits, entry.len)) return entry.next_hop;
     pre = entry.pre;
   }
   return net::kNoRoute;
 }
 
-net::NextHop LcTrie::lookup(net::Ipv4Addr addr) const {
-  MemAccessCounter unused;
+template <typename Addr>
+net::NextHop BasicLcTrie<Addr>::lookup(Addr addr) const {
   if (!wide_nodes_.empty()) {
-    return lookup_impl<false>(wide_nodes_.data(), addr, &unused);
+    return lookup_impl<false>(wide_nodes_.data(), addr, nullptr);
   }
   if (nodes_.empty()) return net::kNoRoute;
-  return lookup_impl<false>(nodes_.data(), addr, &unused);
+  return lookup_impl<false>(nodes_.data(), addr, nullptr);
 }
 
-void LcTrie::lookup_batch(const net::Ipv4Addr* keys, std::size_t n,
-                          net::NextHop* out) const {
+template <typename Addr>
+void BasicLcTrie<Addr>::lookup_batch(const Addr* keys, std::size_t n,
+                                     net::NextHop* out) const {
   if ((nodes_.empty() && wide_nodes_.empty()) || n < kMinWaveWidth) {
     for (std::size_t i = 0; i < n; ++i) out[i] = lookup(keys[i]);
     return;
   }
-  // The AVX2 kernel gathers the packed 4-byte layout; the wide layout always
-  // takes the generic pipeline.
-  if (!wide_nodes_.empty()) {
-    lookup_batch_pipeline(wide_nodes_.data(), keys, n, out);
-    return;
-  }
-  if (resolved_simd_level() == SimdLevel::kAvx2) {
+  // The AVX2 kernels gather the packed 4-byte layout; the wide layout
+  // always takes the generic pipeline.
+  if (wide_nodes_.empty() && resolved_simd_level() == SimdLevel::kAvx2) {
     lookup_batch_avx2(keys, n, out);
     return;
   }
-  lookup_batch_pipeline(nodes_.data(), keys, n, out);
+  lookup_batch_generic(keys, n, out);
 }
 
-void LcTrie::lookup_batch_generic(const net::Ipv4Addr* keys, std::size_t n,
-                                  net::NextHop* out) const {
+template <typename Addr>
+void BasicLcTrie<Addr>::lookup_batch_generic(const Addr* keys, std::size_t n,
+                                             net::NextHop* out) const {
   if (!wide_nodes_.empty()) {
     lookup_batch_pipeline(wide_nodes_.data(), keys, n, out);
   } else {
@@ -350,10 +348,11 @@ void LcTrie::lookup_batch_generic(const net::Ipv4Addr* keys, std::size_t n,
   }
 }
 
+template <typename Addr>
 template <typename NodeT>
-void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
-                                   const net::Ipv4Addr* keys, std::size_t n,
-                                   net::NextHop* out) const {
+void BasicLcTrie<Addr>::lookup_batch_pipeline(const NodeT* nodes,
+                                              const Addr* keys, std::size_t n,
+                                              net::NextHop* out) const {
   // Stage-synchronous pipeline (see LuleaTrie::lookup_batch for the model):
   // groups of G keys walk the trie in lockstep waves — every wave performs
   // one node read per still-walking lane, so the reads of a wave are
@@ -362,20 +361,11 @@ void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
   // decision, the base-entry comparison and the covering-prefix chain all
   // compact their lane lists with arithmetic instead of predicted branches.
   constexpr std::size_t G = 2 * kLpmBatchLanes;
-  // Branch-free masked extract of `count` bits at MSB-relative `pos`:
-  // count == 0 yields 0 via the zero mask (the shift amount is clamped, so
-  // it is well-defined where extract() would branch).
-  const auto bits_at = [](std::uint32_t word, int pos, int count) {
-    const std::uint32_t mask =
-        count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1u);
-    return (word >> ((32 - pos - count) & 31)) & mask;
-  };
   std::size_t i = 0;
   while (i < n) {
     const std::size_t g = i + G <= n ? G : n - i;
-    std::uint32_t s[G];    // full keys
+    const Addr* const s = keys + i;  // this group's keys
     std::uint32_t idx[G];  // node index while walking, base index at a leaf
-    std::uint32_t diff[G]; // key XOR base bits
     std::int32_t pre[G];   // current covering-prefix entry (-1 = none)
     int pos[G];            // address bits consumed
     std::uint8_t list_a[G];
@@ -385,7 +375,6 @@ void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
     std::uint8_t* next_walk = list_b;
     std::size_t wn = g;
     for (std::size_t k = 0; k < g; ++k) {
-      s[k] = keys[i + k].value();
       idx[k] = 0;
       pos[k] = 0;
       walk[k] = static_cast<std::uint8_t>(k);
@@ -400,7 +389,7 @@ void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
         const NodeT node = nodes[idx[k]];
         const int branch = static_cast<int>(node.branch());
         const int p = pos[k] + static_cast<int>(node.skip());
-        idx[k] = node.adr() + bits_at(s[k], p, branch);
+        idx[k] = node.adr() + field(s[k], p, branch);
         pos[k] = p + branch;
         next_walk[nw] = static_cast<std::uint8_t>(k);
         nw += branch != 0 ? 1 : 0;
@@ -417,22 +406,23 @@ void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
     std::size_t cn = 0;
     for (std::size_t k = 0; k < g; ++k) {
       const BaseEntry& base = base_[idx[k]];
-      diff[k] = base.bits ^ s[k];
-      const bool matched = bits_at(diff[k], 0, base.len) == 0;
+      const bool matched = net::equal_prefix_bits(s[k], base.bits, base.len);
       out[i + k] = matched ? base.next_hop : net::kNoRoute;
       pre[k] = matched ? -1 : base.pre;
       chain[cn] = static_cast<std::uint8_t>(k);
       cn += pre[k] >= 0 ? 1 : 0;
       prefetch(pre_.data() + (pre[k] >= 0 ? pre[k] : 0));
     }
-    // Chain waves, longest covering prefix first. In-place compaction is
-    // safe: the write index never passes the read index.
+    // Chain waves, longest covering prefix first, compared against the leaf's
+    // base bits as the scalar path does. In-place compaction is safe: the
+    // write index never passes the read index.
     while (cn > 0) {
       std::size_t nc = 0;
       for (std::size_t c = 0; c < cn; ++c) {
         const std::size_t k = chain[c];
         const PreEntry& entry = pre_[static_cast<std::size_t>(pre[k])];
-        const bool matched = bits_at(diff[k], 0, entry.len) == 0;
+        const bool matched =
+            net::equal_prefix_bits(s[k], base_[idx[k]].bits, entry.len);
         out[i + k] = matched ? entry.next_hop : out[i + k];
         pre[k] = matched ? -1 : entry.pre;
         chain[nc] = static_cast<std::uint8_t>(k);
@@ -445,8 +435,9 @@ void LcTrie::lookup_batch_pipeline(const NodeT* nodes,
   }
 }
 
-net::NextHop LcTrie::lookup_counted(net::Ipv4Addr addr,
-                                    MemAccessCounter& counter) const {
+template <typename Addr>
+net::NextHop BasicLcTrie<Addr>::lookup_counted(Addr addr,
+                                               MemAccessCounter& counter) const {
   if (!wide_nodes_.empty()) {
     return lookup_impl<true>(wide_nodes_.data(), addr, &counter);
   }
@@ -454,22 +445,27 @@ net::NextHop LcTrie::lookup_counted(net::Ipv4Addr addr,
   return lookup_impl<true>(nodes_.data(), addr, &counter);
 }
 
-std::size_t LcTrie::storage_bytes() const {
-  // Packed 4-byte trie nodes (5-bit branch, 7-bit skip, 20-bit adr) — or
-  // 8-byte wide nodes past the 20-bit adr ceiling — 12-byte base entries
-  // (address, length, next hop, chain pointer) and 8-byte internal-prefix
-  // entries, following the JSAC paper's layout.
-  const std::size_t node_bytes =
-      wide_nodes_.empty() ? nodes_.size() * 4 : wide_nodes_.size() * 8;
-  return node_bytes + base_.size() * 12 + pre_.size() * 8;
+template <typename Addr>
+std::size_t BasicLcTrie<Addr>::storage_bytes() const {
+  std::size_t bytes = 0;
+  for (const ArenaSpan& arena : arenas()) bytes += arena.bytes;
+  return bytes;
 }
 
-std::vector<ArenaSpan> LcTrie::arenas() const {
+template <typename Addr>
+std::vector<ArenaSpan> BasicLcTrie<Addr>::arenas() const {
+  // Packed 4-byte trie nodes (5-bit branch, 7-bit skip, 20-bit adr) — or
+  // 8-byte wide nodes past the 20-bit adr ceiling — base entries (address,
+  // length, next hop, chain pointer) and 8-byte internal-prefix entries,
+  // following the JSAC paper's layout.
   const std::size_t node_bytes =
       wide_nodes_.empty() ? nodes_.size() * 4 : wide_nodes_.size() * 8;
   return {{"nodes", node_bytes},
-          {"base", base_.size() * 12},
+          {"base", base_.size() * kBaseEntryBytes<Addr>},
           {"pre", pre_.size() * 8}};
 }
+
+template class BasicLcTrie<net::Ipv4Addr>;
+template class BasicLcTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -11,11 +11,16 @@
 // and rejected by the explicit comparison search performs at the leaf — the
 // paper's Sec. 2.1 notes exactly this "explicit comparison" step.
 //
-// The SPAL paper evaluates the LC-trie with fill factor 0.25 (Sec. 4).
+// The SPAL paper evaluates the LC-trie with fill factor 0.25 (Sec. 4). Over
+// IPv6 (LcTrie6) the same algorithm runs on 128-bit strings — the structure
+// behind the paper's Sec. 2.1 remark that software tries are "applicable to
+// 128-bit IPv6 prefixes" but pay "far longer lookup times and bigger
+// storage".
 //
 // Host layout: trie nodes are packed into the 4-byte word the JSAC paper's
 // storage model describes (5-bit branch, 7-bit skip, 20-bit adr), so 16
 // nodes share a cache line and storage_bytes() reports actual host memory.
+// The 7-bit skip also covers IPv6's longer compressible runs.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +34,8 @@ namespace lc_detail {
 
 /// Packed 4-byte LC-trie node: branch in the top 5 bits, skip in the next
 /// 7, adr (children start, or base-vector index for leaves) in the low 20.
-/// branch == 0 marks a leaf. The reachable value ranges fit: branch <= 31
-/// (bounded by the address width minus one consumed bit), skip <= 127.
+/// branch == 0 marks a leaf. The reachable value ranges fit: branch <= 20
+/// (kMaxBranch), skip <= 127 (an IPv6 string minus one consumed bit).
 /// Structures outgrowing the 20-bit adr (~1.05M nodes or base entries, i.e.
 /// internet-scale tables) are size-selected onto WideNode instead.
 struct PackedNode {
@@ -68,8 +73,8 @@ struct WideNode {
   std::uint32_t adr() const { return adr_; }
 };
 
-/// Arena indexes for counted-lookup attribution; must match the order the
-/// LC tries' arenas() list their spans.
+/// Arena indexes for counted-lookup attribution; must match the order
+/// arenas() lists its spans.
 enum LcArena : std::size_t {
   kArenaNodes = 0,
   kArenaBase = 1,
@@ -78,21 +83,29 @@ enum LcArena : std::size_t {
 
 }  // namespace lc_detail
 
-class LcTrie final : public LpmIndex {
+template <typename Addr>
+class BasicLcTrie final : public BasicLpmIndex<Addr> {
  public:
+  using Table = net::TableOf<Addr>;
+
+  /// Widest branch any node takes, whatever the fill factor allows: 2^20
+  /// child slots. `max_root_branch` caps the root further (16 by default).
+  static constexpr int kMaxBranch = 20;
+
+  /// `fill_factor` must be > 0 (std::invalid_argument otherwise).
   /// `packed_limit` is the largest adr value the packed 4-byte layout may
   /// hold; structures whose node or base count exceeds it keep the 8-byte
   /// wide layout instead. The default is the format's real 20-bit ceiling —
   /// tests lower it to exercise the wide path without million-node builds.
-  explicit LcTrie(const net::RouteTable& table, double fill_factor = 0.25,
-                  int max_root_branch = 16,
-                  std::size_t packed_limit = lc_detail::PackedNode::kAdrMask);
+  explicit BasicLcTrie(const Table& table, double fill_factor = 0.25,
+                       int max_root_branch = 16,
+                       std::size_t packed_limit = lc_detail::PackedNode::kAdrMask);
 
   // LpmIndex:
-  net::NextHop lookup(net::Ipv4Addr addr) const override;
-  void lookup_batch(const net::Ipv4Addr* keys, std::size_t n,
+  net::NextHop lookup(Addr addr) const override;
+  void lookup_batch(const Addr* keys, std::size_t n,
                     net::NextHop* out) const override;
-  net::NextHop lookup_counted(net::Ipv4Addr addr,
+  net::NextHop lookup_counted(Addr addr,
                               MemAccessCounter& counter) const override;
   std::size_t storage_bytes() const override;
   std::vector<ArenaSpan> arenas() const override;
@@ -111,7 +124,7 @@ class LcTrie final : public LpmIndex {
   using Node = lc_detail::PackedNode;
   using WideNode = lc_detail::WideNode;
   struct BaseEntry {
-    std::uint32_t bits = 0;
+    Addr bits;
     std::uint8_t len = 0;
     net::NextHop next_hop = net::kNoRoute;
     std::int32_t pre = -1;  ///< chain of covering internal prefixes
@@ -134,6 +147,14 @@ class LcTrie final : public LpmIndex {
   void build_at(std::vector<WideNode>& out, std::size_t node_index,
                 std::size_t first, std::size_t n, int pos) const;
   int compute_branch(std::size_t first, std::size_t n, int pos, int* skip_out) const;
+  /// Base entry an empty child slot points at: whichever sorted neighbour
+  /// of the slot (p - 1 or p, within [first, last)) shares the longest
+  /// prefix with the slot's path, so its prefix chain contains every prefix
+  /// that can match addresses falling into the slot (the explicit
+  /// comparison at the leaf rejects the leaf itself when appropriate).
+  std::size_t empty_slot_neighbour(std::size_t first, std::size_t last,
+                                   std::size_t p, int branch_pos, int branch,
+                                   std::uint32_t pattern) const;
 
   /// Below this many keys lookup_batch uses the plain scalar loop (pipeline
   /// setup cost exceeds the overlap win; see BENCH_lpm.json small batches).
@@ -141,20 +162,21 @@ class LcTrie final : public LpmIndex {
 
   // Dispatch-level kernels (trie/simd_dispatch.h). There is no SSE4.2 tier:
   // the LC walk has no rank computation for POPCNT to accelerate, so the
-  // sse42 level runs the generic pipeline. The AVX2 kernel (lc_trie_simd.cpp;
-  // generic-calling stub off x86) runs the node walk and base comparison as
-  // 8-lane gather waves over the packed layout; the wide layout always takes
-  // the generic pipeline.
-  void lookup_batch_generic(const net::Ipv4Addr* keys, std::size_t n,
+  // sse42 level runs the generic pipeline. The AVX2 kernels — one per
+  // family: lc_trie_simd.cpp (8 x 32-bit lanes) and lc_trie6_simd.cpp (4 x
+  // 128-bit keys); generic-calling stubs off x86 — run the node walk and
+  // base comparison as gather waves over the packed layout; the wide layout
+  // always takes the generic pipeline.
+  void lookup_batch_generic(const Addr* keys, std::size_t n,
                             net::NextHop* out) const;
   template <typename NodeT>
-  void lookup_batch_pipeline(const NodeT* nodes, const net::Ipv4Addr* keys,
+  void lookup_batch_pipeline(const NodeT* nodes, const Addr* keys,
                              std::size_t n, net::NextHop* out) const;
-  void lookup_batch_avx2(const net::Ipv4Addr* keys, std::size_t n,
+  void lookup_batch_avx2(const Addr* keys, std::size_t n,
                          net::NextHop* out) const;
 
   template <bool kCounted, typename NodeT>
-  net::NextHop lookup_impl(const NodeT* nodes, net::Ipv4Addr addr,
+  net::NextHop lookup_impl(const NodeT* nodes, Addr addr,
                            MemAccessCounter* counter) const;
 
   double fill_factor_;
@@ -164,5 +186,20 @@ class LcTrie final : public LpmIndex {
   std::vector<BaseEntry> base_;
   std::vector<PreEntry> pre_;
 };
+
+template <>
+void BasicLcTrie<net::Ipv4Addr>::lookup_batch_avx2(const net::Ipv4Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const;
+template <>
+void BasicLcTrie<net::Ipv6Addr>::lookup_batch_avx2(const net::Ipv6Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const;
+
+extern template class BasicLcTrie<net::Ipv4Addr>;
+extern template class BasicLcTrie<net::Ipv6Addr>;
+
+using LcTrie = BasicLcTrie<net::Ipv4Addr>;
+using LcTrie6 = BasicLcTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -1,4 +1,4 @@
-// AVX2 tier of LcTrie6::lookup_batch (dispatch contract in
+// AVX2 tier of the IPv6 LcTrie6::lookup_batch (dispatch contract in
 // trie/simd_dispatch.h): four 128-bit keys per vector, held as split
 // hi/lo 64-bit lanes. The node walk gathers packed 4-byte nodes through
 // 64-bit indices (masked, so retired lanes make no access) and extracts the
@@ -16,7 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "trie/lc_trie6.h"
+#include "trie/lc_trie.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -29,8 +29,10 @@ namespace spal::trie {
 #pragma GCC push_options
 #pragma GCC target("avx2,bmi2,popcnt")
 
-void LcTrie6::lookup_batch_avx2(const net::Ipv6Addr* keys, std::size_t n,
-                                net::NextHop* out) const {
+template <>
+void BasicLcTrie<net::Ipv6Addr>::lookup_batch_avx2(const net::Ipv6Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const {
   static_assert(sizeof(Node) == 4);
   static_assert(sizeof(net::Ipv6Addr) == 16);
   // The gathers read hi at entry offset 0 and lo at offset 8.
@@ -167,8 +169,10 @@ void LcTrie6::lookup_batch_avx2(const net::Ipv6Addr* keys, std::size_t n,
 
 namespace spal::trie {
 
-void LcTrie6::lookup_batch_avx2(const net::Ipv6Addr* keys, std::size_t n,
-                                net::NextHop* out) const {
+template <>
+void BasicLcTrie<net::Ipv6Addr>::lookup_batch_avx2(const net::Ipv6Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const {
   lookup_batch_generic(keys, n, out);
 }
 

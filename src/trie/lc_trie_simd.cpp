@@ -1,9 +1,9 @@
-// AVX2 tier of LcTrie::lookup_batch (dispatch contract in
+// AVX2 tier of the IPv4 LcTrie::lookup_batch (dispatch contract in
 // trie/simd_dispatch.h). The lockstep node walk becomes an 8-lane masked
 // gather loop: every iteration gathers the packed 4-byte node for each
 // still-walking lane, slices branch/skip/adr with shifts, and extracts the
 // branch bits with variable shifts — the (32 - pos - count) & 31 clamp and
-// the (1 << count) - 1 mask reproduce the generic pipeline's bits_at
+// the (1 << count) - 1 mask reproduce the generic pipeline's field()
 // exactly (branch <= 31 by the 5-bit field). Lanes whose node is a leaf
 // keep their base index via blend and drop out of the gather mask, so a
 // retired lane performs no further memory access. The base-vector
@@ -28,7 +28,8 @@ namespace spal::trie {
 
 namespace {
 
-/// Scalar bits_at, identical to the generic pipeline's lambda.
+/// Scalar form of the field extraction, identical to the generic
+/// pipeline's IPv4 field().
 inline std::uint32_t bits_at(std::uint32_t word, int pos, int count) {
   const std::uint32_t mask =
       count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1u);
@@ -37,8 +38,10 @@ inline std::uint32_t bits_at(std::uint32_t word, int pos, int count) {
 
 }  // namespace
 
-void LcTrie::lookup_batch_avx2(const net::Ipv4Addr* keys, std::size_t n,
-                               net::NextHop* out) const {
+template <>
+void BasicLcTrie<net::Ipv4Addr>::lookup_batch_avx2(const net::Ipv4Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const {
   static_assert(sizeof(Node) == 4);
   static_assert(sizeof(BaseEntry) == 16 && offsetof(BaseEntry, bits) == 0 &&
                 offsetof(BaseEntry, len) == 4 &&
@@ -151,8 +154,10 @@ void LcTrie::lookup_batch_avx2(const net::Ipv4Addr* keys, std::size_t n,
 
 namespace spal::trie {
 
-void LcTrie::lookup_batch_avx2(const net::Ipv4Addr* keys, std::size_t n,
-                               net::NextHop* out) const {
+template <>
+void BasicLcTrie<net::Ipv4Addr>::lookup_batch_avx2(const net::Ipv4Addr* keys,
+                                                   std::size_t n,
+                                                   net::NextHop* out) const {
   lookup_batch_generic(keys, n, out);
 }
 

@@ -1,6 +1,8 @@
 // Common interface for longest-prefix-match (LPM) indexes.
 //
-// Every trie in this library implements LpmIndex. Two aspects matter to the
+// Every trie in this library implements BasicLpmIndex<Addr>: LpmIndex over
+// IPv4 addresses, LpmIndex6 over IPv6 ones (the binary, DP and LC tries
+// exist in both families). Two aspects matter to the
 // SPAL experiments beyond plain correctness:
 //   * storage_bytes(): the SRAM footprint of the built structure, using the
 //     storage models stated in the paper (Sec. 4) — this drives Fig. 3; and
@@ -16,7 +18,7 @@
 #include <string_view>
 #include <vector>
 
-#include "net/route_table.h"
+#include "net/prefix6.h"
 
 namespace spal::trie {
 
@@ -68,29 +70,33 @@ class MemAccessCounter {
 /// registers/L1.
 inline constexpr std::size_t kLpmBatchLanes = 8;
 
-/// A built longest-prefix-match index over a routing table. Most structures
-/// are immutable after build; dynamic tries (binary, DP) additionally
-/// support in-place announce/withdraw via the incremental-update interface
-/// below, which the live route-update pipeline uses to avoid epoch rebuilds.
-class LpmIndex {
+/// A built longest-prefix-match index over a routing table of addresses
+/// `Addr`. Most structures are immutable after build; dynamic tries
+/// (binary, DP) additionally support in-place announce/withdraw via the
+/// incremental-update interface below, which the live route-update pipeline
+/// uses to avoid epoch rebuilds.
+template <typename Addr>
+class BasicLpmIndex {
  public:
-  virtual ~LpmIndex() = default;
+  using Prefix = net::PrefixOf<Addr>;
+
+  virtual ~BasicLpmIndex() = default;
 
   /// Longest-prefix match; kNoRoute if nothing matches.
-  virtual net::NextHop lookup(net::Ipv4Addr addr) const = 0;
+  virtual net::NextHop lookup(Addr addr) const = 0;
 
   /// Looks up `n` independent keys, writing out[i] = lookup(keys[i]).
   /// Results are always bit-identical to the scalar path; structures with a
   /// batched pipeline (Lulea, LC) override this with an interleaved
   /// software-prefetch loop that hides one key's dependent misses behind the
   /// others'. The base implementation is the plain scalar loop.
-  virtual void lookup_batch(const net::Ipv4Addr* keys, std::size_t n,
+  virtual void lookup_batch(const Addr* keys, std::size_t n,
                             net::NextHop* out) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = lookup(keys[i]);
   }
 
   /// Same as lookup() but records every dependent memory access.
-  virtual net::NextHop lookup_counted(net::Ipv4Addr addr,
+  virtual net::NextHop lookup_counted(Addr addr,
                                       MemAccessCounter& counter) const = 0;
 
   /// SRAM bytes required to hold the structure, per the paper's per-trie
@@ -117,18 +123,21 @@ class LpmIndex {
   virtual bool supports_incremental_update() const { return false; }
 
   /// Inserts or replaces `prefix` in place. No-op on immutable structures.
-  virtual void insert(const net::Prefix& prefix, net::NextHop next_hop) {
+  virtual void insert(const Prefix& prefix, net::NextHop next_hop) {
     (void)prefix;
     (void)next_hop;
   }
 
   /// Removes `prefix` exactly; true if it was present. Always false on
   /// immutable structures.
-  virtual bool remove(const net::Prefix& prefix) {
+  virtual bool remove(const Prefix& prefix) {
     (void)prefix;
     return false;
   }
 };
+
+using LpmIndex = BasicLpmIndex<net::Ipv4Addr>;
+using LpmIndex6 = BasicLpmIndex<net::Ipv6Addr>;
 
 /// Trie algorithm selector used by factories and experiment configs.
 enum class TrieKind { kBinary, kDp, kLulea, kLc, kGupta, kStride };

@@ -64,8 +64,8 @@ TEST(V4Family, BuildFeHonoursTrieKind) {
   config.trie = trie::TrieKind::kLc;
   const auto fe = core::V4Family::build_fe(table, config);
   EXPECT_EQ(fe->name(), "lc");
-  EXPECT_EQ(core::V4Family::fe_lookup(fe, net::Ipv4Addr{0x0A000001u}), 1u);
-  EXPECT_GT(core::V4Family::fe_storage(fe), 0u);
+  EXPECT_EQ(fe->lookup(net::Ipv4Addr{0x0A000001u}), 1u);
+  EXPECT_GT(fe->storage_bytes(), 0u);
 }
 
 TEST(V6Family, FeAndOracleAgree) {
@@ -75,14 +75,13 @@ TEST(V6Family, FeAndOracleAgree) {
   const net::RouteTable6 table = net::generate_table6(table_config);
   const core::RouterConfig config = core::spal_default_config(1);
   const auto fe = core::V6Family::build_fe(table, config);
-  const auto oracle = core::V6Family::build_oracle(table);
+  const trie::BinaryTrie6 oracle(table);
   std::mt19937_64 rng(1);
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 500; ++i) {
     const auto addr =
         net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
-    EXPECT_EQ(core::V6Family::fe_lookup(fe, addr),
-              core::V6Family::oracle_lookup(oracle, addr));
+    EXPECT_EQ(fe->lookup(addr), oracle.lookup(addr));
   }
 }
 

@@ -1,10 +1,10 @@
-#include "trie/dp_trie6.h"
+#include "trie/dp_trie.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "trie/binary_trie6.h"
+#include "trie/binary_trie.h"
 
 namespace {
 

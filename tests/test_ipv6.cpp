@@ -4,10 +4,11 @@
 
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include "net/prefix6.h"
-#include "partition/partition6.h"
-#include "trie/binary_trie6.h"
+#include "partition/rot_partition.h"
+#include "trie/binary_trie.h"
 
 namespace {
 
@@ -177,7 +178,7 @@ TEST(Partition6, BitStatsCountTriState) {
   table.add(p6(0x2000000000000000ULL, 0, 4), 1);  // bit 3 = 0
   table.add(p6(0x3000000000000000ULL, 0, 4), 2);  // bit 3 = 1
   table.add(p6(0x2000000000000000ULL, 0, 3), 3);  // bit 3 = *
-  const auto stats = partition::compute_bit_stats6(table.entries(), 3);
+  const auto stats = partition::compute_bit_stats(table.entries(), 3);
   EXPECT_EQ(stats.phi0, 1u);
   EXPECT_EQ(stats.phi1, 1u);
   EXPECT_EQ(stats.phi_star, 1u);
@@ -231,9 +232,24 @@ TEST(Partition6, ControlBitsStayLowForV6Tables) {
   config.size = 20'000;
   config.seed = 10;
   const RouteTable6 table = net::generate_table6(config);
-  for (const int bit : partition::select_control_bits6(table, 4)) {
+  for (const int bit : partition::select_control_bits(table, 4)) {
     EXPECT_LT(bit, 48);
   }
+}
+
+// The IPv6 partitioner rejects explicit control bits past bit 127 the same
+// way.
+TEST(Partition6, RejectsOutOfRangeControlBits) {
+  net::TableGen6Config config;
+  config.size = 200;
+  config.seed = 617;
+  const net::RouteTable6 table = net::generate_table6(config);
+  partition::Partition6Config partition_config;
+  partition_config.control_bits = {128};
+  EXPECT_THROW(partition::RotPartition6(table, 2, partition_config),
+               std::invalid_argument);
+  partition_config.control_bits = {127};
+  EXPECT_NO_THROW(partition::RotPartition6(table, 2, partition_config));
 }
 
 TEST(Partition6, SramReductionExceedsIpv4Ratio) {

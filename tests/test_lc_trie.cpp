@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <stdexcept>
 
+#include "net/prefix6.h"
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
 
@@ -126,6 +129,30 @@ TEST(LcTrie, DefaultRouteOnlyTable) {
 
 TEST(LcTrie, NameIsLc) {
   EXPECT_EQ(LcTrie(RouteTable{}).name(), "lc");
+}
+
+// Under a fill factor that is not > 0 the fill test never fails, so every
+// node of three or more entries would widen until a cap stops it. Both
+// families reject it, and build_lpm passes the rejection through.
+TEST(LcTrie, RejectsFillFactorNotAboveZero) {
+  net::TableGenConfig config;
+  config.size = 300;
+  config.seed = 54;
+  const RouteTable table = net::generate_table(config);
+  net::TableGen6Config config6;
+  config6.size = 300;
+  config6.seed = 55;
+  const net::RouteTable6 table6 = net::generate_table6(config6);
+  for (const double fill :
+       {0.0, -0.25, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(LcTrie(table, fill), std::invalid_argument) << fill;
+    EXPECT_THROW(trie::LcTrie6(table6, fill), std::invalid_argument) << fill;
+    trie::LpmBuildOptions options;
+    options.lc_fill_factor = fill;
+    EXPECT_THROW(trie::build_lpm(trie::TrieKind::kLc, table, options),
+                 std::invalid_argument)
+        << fill;
+  }
 }
 
 }  // namespace

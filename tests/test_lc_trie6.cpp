@@ -1,11 +1,11 @@
-#include "trie/lc_trie6.h"
+#include "trie/lc_trie.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "trie/binary_trie6.h"
-#include "trie/dp_trie6.h"
+#include "trie/binary_trie.h"
+#include "trie/dp_trie.h"
 
 namespace {
 

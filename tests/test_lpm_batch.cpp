@@ -19,8 +19,7 @@
 #include "net/prefix6.h"
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
-#include "trie/lc_trie6.h"
+#include "trie/lc_trie.h"
 #include "trie/simd_dispatch.h"
 
 namespace {

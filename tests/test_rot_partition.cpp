@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
@@ -185,6 +187,22 @@ TEST(RotPartition, ExplicitControlBitsRespected) {
   ASSERT_EQ(rot.control_bits().size(), 2u);
   EXPECT_EQ(rot.control_bits()[0], 3);
   EXPECT_EQ(rot.control_bits()[1], 9);
+}
+
+// An explicit control bit outside the 32-bit address would reach
+// Ipv4Addr::bit() as a shift past the word; the constructor rejects it
+// before grouping.
+TEST(RotPartition, RejectsOutOfRangeControlBits) {
+  const RouteTable table = test_table(200, 89);
+  for (const std::vector<int>& bits :
+       {std::vector<int>{32}, std::vector<int>{-1}, std::vector<int>{3, 32}}) {
+    PartitionConfig config;
+    config.control_bits = bits;
+    EXPECT_THROW(RotPartition(table, 2, config), std::invalid_argument);
+  }
+  PartitionConfig config;
+  config.control_bits = {31};
+  EXPECT_NO_THROW(RotPartition(table, 2, config));
 }
 
 TEST(PartitionByLength, GroupsAreByExactLength) {

@@ -12,12 +12,9 @@
 
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 #include "trie/dp_trie.h"
-#include "trie/dp_trie6.h"
 #include "trie/gupta_trie.h"
 #include "trie/lc_trie.h"
-#include "trie/lc_trie6.h"
 #include "trie/lpm.h"
 #include "trie/lulea_trie.h"
 
@@ -232,6 +229,31 @@ TEST(ScaleWideLayout, LcTrieWidePathMatchesPacked) {
     ASSERT_EQ(from_wide[i], from_packed[i]) << addrs[i].value();
     ASSERT_EQ(packed.lookup(addrs[i]), from_packed[i]);
     ASSERT_EQ(wide.lookup(addrs[i]), from_packed[i]);
+  }
+  // IPv6 takes the same size selection.
+  const net::RouteTable6 slice6 = sampled_slice(internet_table6(), 50);
+  const trie::LcTrie6 packed6(slice6);
+  const trie::LcTrie6 wide6(slice6, 0.25, 16, /*packed_limit=*/64);
+  EXPECT_FALSE(packed6.wide_layout());
+  ASSERT_TRUE(wide6.wide_layout());
+  EXPECT_EQ(wide6.node_count(), packed6.node_count());
+  EXPECT_GT(wide6.storage_bytes(), packed6.storage_bytes());
+  std::uniform_int_distribution<std::size_t> pick6(0, slice6.size() - 1);
+  std::vector<net::Ipv6Addr> addrs6;
+  for (int i = 0; i < 10'000; ++i) {
+    addrs6.push_back(
+        i % 2 == 0
+            ? net::random_address_in6(slice6.entries()[pick6(rng)].prefix, rng)
+            : net::Ipv6Addr{rng(), rng()});
+  }
+  std::vector<net::NextHop> from_packed6(addrs6.size());
+  std::vector<net::NextHop> from_wide6(addrs6.size());
+  packed6.lookup_batch(addrs6.data(), addrs6.size(), from_packed6.data());
+  wide6.lookup_batch(addrs6.data(), addrs6.size(), from_wide6.data());
+  for (std::size_t i = 0; i < addrs6.size(); ++i) {
+    ASSERT_EQ(from_wide6[i], from_packed6[i]) << addrs6[i].to_string();
+    ASSERT_EQ(packed6.lookup(addrs6[i]), from_packed6[i]);
+    ASSERT_EQ(wide6.lookup(addrs6[i]), from_packed6[i]);
   }
 }
 

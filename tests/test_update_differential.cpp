@@ -17,10 +17,8 @@
 #include "net/table_gen.h"
 #include "net/update_stream.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 #include "trie/dp_trie.h"
-#include "trie/dp_trie6.h"
-#include "trie/lc_trie6.h"
+#include "trie/lc_trie.h"
 #include "trie/lpm.h"
 
 namespace {

@@ -22,10 +22,8 @@
 
 #include "net/prefix6.h"
 #include "net/table_gen.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 
 namespace {
 
@@ -289,9 +287,9 @@ TEST(WeightedPartition, SkewedWeightsNeverWorseThanCountBalancedV6) {
     const RotPartition6 weighted(table, psi, config);
 
     const std::vector<double> loads_cb =
-        partition::expected_loads6(count_balanced, table, weights);
+        partition::expected_loads(count_balanced, table, weights);
     const std::vector<double> loads_w =
-        partition::expected_loads6(weighted, table, weights);
+        partition::expected_loads(weighted, table, weights);
 
     const double total = sum(weights);
     EXPECT_NEAR(sum(loads_cb), total, 1e-9);
