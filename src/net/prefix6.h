@@ -149,8 +149,8 @@ RouteTable6 make_rt6_internet(std::size_t size = 220'000);
 Ipv6Addr random_address_in6(const Prefix6& prefix, std::mt19937_64& rng);
 
 /// The prefix, route-entry and routing-table types of an address family,
-/// so code templated on the address type (the tries, the partitioner, the
-/// router core) names the rest of its family through one parameter.
+/// so code templated on the address type (the tries, the partitioner)
+/// names the rest of its family through that one parameter.
 template <typename Addr>
 struct AddrTraits;
 
@@ -170,8 +170,6 @@ struct AddrTraits<Ipv6Addr> {
 
 template <typename Addr>
 using PrefixOf = typename AddrTraits<Addr>::Prefix;
-template <typename Addr>
-using EntryOf = typename AddrTraits<Addr>::Entry;
 template <typename Addr>
 using TableOf = typename AddrTraits<Addr>::Table;
 

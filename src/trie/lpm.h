@@ -134,6 +134,15 @@ class BasicLpmIndex {
     (void)prefix;
     return false;
   }
+
+ protected:
+  // The concrete tries stay copyable and movable (callers hold them by
+  // value in containers); the interface cannot be sliced into.
+  BasicLpmIndex() = default;
+  BasicLpmIndex(const BasicLpmIndex&) = default;
+  BasicLpmIndex(BasicLpmIndex&&) = default;
+  BasicLpmIndex& operator=(const BasicLpmIndex&) = default;
+  BasicLpmIndex& operator=(BasicLpmIndex&&) = default;
 };
 
 using LpmIndex = BasicLpmIndex<net::Ipv4Addr>;
