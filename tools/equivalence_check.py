@@ -10,8 +10,9 @@ is on disk, uncommitted edits included) in Release, and runs on both:
   * the fig-4/5/6 benches at --packets=10000 (CSV on stdout);
   * bench_fig3_sram (trie storage per psi), bench_memaccess (accesses per
     lookup per trie), bench_partitioning (control bits and fragment sizes)
-    and bench_ipv6_extension (IPv6 partition, binary-trie storage and
-    RouterSim6), which take no flags (CSV on stdout);
+    and bench_ipv6_extension (IPv6 partition, binary-trie storage,
+    RouterSim6 and one IPv6 live-update row), which take no flags (CSV on
+    stdout);
   * the --packets=2000 --json reports of bench_fault, bench_update --verify
     (default rates and --update-rate=1000), bench_failover,
     bench_loadbalance and bench_scale.
