@@ -250,8 +250,7 @@ class BasicLrCache {
   /// (victim cache included); waiting blocks are left for their fill.
   /// Returns 0 without scanning when the filter holds no valid block in
   /// any bucket the prefix covers.
-  template <typename PrefixT>
-  std::size_t invalidate_matching(const PrefixT& prefix) {
+  std::size_t invalidate_matching(const net::BasicPrefix<Addr>& prefix) {
     if (filter_.empty()) build_filter();
     const auto first =
         filter_.begin() + lr_cache_filter_key(prefix.range_first());

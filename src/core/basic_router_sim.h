@@ -4,25 +4,23 @@
 // independent of the address family: it needs a partition (home-LC mapping
 // + per-LC tables), a forwarding-engine index per LC, an LR-cache keyed by
 // addresses, and the fabric/event machinery. This template captures that
-// flow once; RouterSim (IPv4) and RouterSim6 (IPv6) are thin instantiations
-// through a Family policy. The partition (partition::BasicRotPartition), the
-// FE interface (trie::BasicLpmIndex) and the oracle (trie::BasicBinaryTrie)
-// are the address-generic templates; the policy names only what differs
-// between the families:
+// flow once; RouterSim (IPv4) and RouterSim6 (IPv6) are aliases of it over
+// a Family policy. The routing table, update stream and trace generator
+// (net::BasicRouteTable, net::generate_update_stream,
+// trace::BasicTraceGenerator), the partition (partition::BasicRotPartition),
+// the FE interface (trie::BasicLpmIndex) and the oracle
+// (trie::BasicBinaryTrie) are the address-generic templates, all named
+// through Family::Addr; the policy supplies only what differs between the
+// families:
 //
 //   struct Family {
 //     using Addr;                     // packet destination type
-//     using Table;                    // routing table (net::TableOf<Addr>)
-//     using Update;                   // net::TableUpdate / net::TableUpdate6
-//     // Live route-update generator:
-//     static std::vector<Update> make_updates(const Table&,
-//                                             const net::UpdateStreamConfig&);
 //     static std::uint64_t hash_bits(const Addr&);       // waiting-list key
 //     // The RouterConfig field holding this family's partition knobs:
 //     static const partition::BasicPartitionConfig<Addr>& partition_config(
 //         const RouterConfig&);
 //     static std::unique_ptr<trie::BasicLpmIndex<Addr>> build_fe(
-//         const Table&, const RouterConfig&);
+//         const net::BasicRouteTable<Addr>&, const RouterConfig&);
 //   };
 //
 // Execution model. One calendar queue drives every LC's events on the
@@ -44,7 +42,6 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -57,6 +54,7 @@
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/packet_source.h"
+#include "trace/trace_gen.h"
 #include "trie/binary_trie.h"
 
 namespace spal::core {
@@ -65,12 +63,15 @@ template <typename Family>
 class BasicRouterSim {
  public:
   using Addr = typename Family::Addr;
-  using Table = typename Family::Table;
+  using Table = net::BasicRouteTable<Addr>;
+  using Update = net::BasicTableUpdate<Addr>;
   using Partition = partition::BasicRotPartition<Addr>;
   using Fe = std::unique_ptr<trie::BasicLpmIndex<Addr>>;
   using Oracle = trie::BasicBinaryTrie<Addr>;
   using Cache = cache::BasicLrCache<Addr>;
 
+  /// Builds the router: fragments `table` (if configured), builds one FE
+  /// per LC over its forwarding table, and instantiates LR-caches/fabric.
   BasicRouterSim(const Table& table, const RouterConfig& config)
       : config_(config), full_table_(table) {
     if (config.num_lcs < 1) {
@@ -128,9 +129,11 @@ class BasicRouterSim {
     fabric_ = std::make_unique<fabric::Fabric>(fabric_config, config_.fault);
   }
 
-  /// Runs one simulation over per-LC destination streams. With `verify`,
-  /// every resolved next hop is checked against the full-table oracle.
-  RouterResult run(const std::vector<std::vector<Addr>>& streams, bool verify) {
+  /// Runs one simulation over per-LC destination streams (streams.size()
+  /// must equal ψ). With `verify`, every resolved next hop is checked
+  /// against a full-table oracle and mismatches are counted.
+  RouterResult run(const std::vector<std::vector<Addr>>& streams,
+                   bool verify = false) {
     if (streams.size() != static_cast<std::size_t>(config_.num_lcs)) {
       throw std::invalid_argument("RouterSim::run: one stream per LC required");
     }
@@ -285,7 +288,7 @@ class BasicRouterSim {
       stream_config.announce_fraction = config_.update.announce_fraction;
       stream_config.withdraw_fraction = config_.update.withdraw_fraction;
       stream_config.next_hops = config_.update.next_hops;
-      updates_ = Family::make_updates(full_table_, stream_config);
+      updates_ = net::generate_update_stream(full_table_, stream_config);
       update_inject_time_.resize(updates_.size());
       update_settle_time_.assign(updates_.size(), kSettlePending);
       update_outstanding_.assign(updates_.size(), 0);
@@ -378,7 +381,8 @@ class BasicRouterSim {
 
     run_events();
     // Rebuild the FEs the run's last updates left stale, so
-    // fe_storage_bytes(), fe_host_lookup() and the next run see them built.
+    // trie_storage_bytes(), host_fe_lookup() and the next run see them
+    // built.
     for (auto& residents : residents_) {
       for (Resident& res : residents) built_fe(res);
     }
@@ -458,13 +462,27 @@ class BasicRouterSim {
     return result_;
   }
 
+  /// Convenience: generates streams from a workload profile over the full
+  /// routing table (the union of the partitions) and runs.
+  RouterResult run_workload(const trace::WorkloadProfile& profile,
+                            bool verify = false) {
+    const trace::BasicTraceGenerator<Addr> generator(profile, full_table_);
+    std::vector<std::vector<Addr>> streams;
+    streams.reserve(static_cast<std::size_t>(config_.num_lcs));
+    for (int lc = 0; lc < config_.num_lcs; ++lc) {
+      streams.push_back(generator.generate(lc, config_.packets_per_lc));
+    }
+    return run(streams, verify);
+  }
+
   const RouterConfig& config() const { return config_; }
-  const Partition& partition() const { return *rot_; }
-  /// The full (unfragmented) routing table the router was built from.
-  const Table& table() const { return full_table_; }
+  /// Worker threads run() uses: always 1 (one event loop per run).
+  int planned_shards(bool /*verify*/ = false) const { return 1; }
+  /// Partition diagnostics (control bits, per-LC table sizes).
+  const Partition& rot() const { return *rot_; }
 
   /// Per-LC storage in bytes of each LC's own forwarding index.
-  std::vector<std::size_t> fe_storage_bytes() const {
+  std::vector<std::size_t> trie_storage_bytes() const {
     std::vector<std::size_t> sizes;
     sizes.reserve(residents_.size());
     for (const auto& residents : residents_) {
@@ -478,7 +496,7 @@ class BasicRouterSim {
   /// batch > 1, the scalar path otherwise. Results are bit-identical either
   /// way; this does not touch simulation state — the throughput benches use
   /// it to measure real ns/lookup on the per-LC structures.
-  void fe_host_lookup(int lc, const Addr* keys, std::size_t n,
+  void host_fe_lookup(int lc, const Addr* keys, std::size_t n,
                       net::NextHop* out, std::size_t batch) const {
     const auto& fe = *residents_[static_cast<std::size_t>(lc)].front().fe;
     if (batch <= 1) {
@@ -597,8 +615,7 @@ class BasicRouterSim {
     bool stale = false;
   };
 
-  using TableEntry =
-      std::decay_t<decltype(std::declval<const Table&>().entries()[0])>;
+  using TableEntry = net::BasicRouteEntry<Addr>;
 
   /// State of the (single) in-flight live fragment migration — operator-
   /// initiated (config_.migration, fixed endpoints, state persists after the
@@ -1437,7 +1454,7 @@ class BasicRouterSim {
   /// any in-flight fill was either produced after the update applied
   /// (fresh), or was injected before this invalidation by the same home
   /// and therefore already landed (fabric FIFO) and been dropped here.
-  void invalidate_cache(int lc, const typename Family::Update& update) {
+  void invalidate_cache(int lc, const Update& update) {
     Cache& cache = *caches_[static_cast<std::size_t>(lc)];
     if (config_.update_policy == RouterConfig::UpdatePolicy::kSelectiveInvalidate) {
       const std::size_t dropped = cache.invalidate_matching(update.prefix);
@@ -2094,7 +2111,7 @@ class BasicRouterSim {
   std::mt19937_64 update_rng_;
   // Live-update pipeline state. oracle_dirty_ makes run() rebuild the
   // oracle a prior run's updates mutated.
-  std::vector<typename Family::Update> updates_;
+  std::vector<Update> updates_;
   std::vector<std::uint64_t> update_inject_time_;   // per update
   std::vector<std::uint64_t> update_settle_time_;   // kSettlePending in flight
   std::vector<std::uint32_t> update_outstanding_;   // effects not yet done

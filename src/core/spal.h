@@ -29,7 +29,6 @@
 #include "fabric/queues.h"
 #include "net/ip_addr.h"
 #include "net/prefix.h"
-#include "net/prefix6.h"
 #include "net/route_table.h"
 #include "net/table_gen.h"
 #include "net/update_stream.h"

@@ -1,5 +1,6 @@
 #include "net/ip_addr.h"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 
@@ -33,6 +34,31 @@ std::string Ipv4Addr::to_string() const {
     out += std::to_string((value_ >> (24 - 8 * i)) & 0xffu);
   }
   return out;
+}
+
+std::optional<Ipv6Addr> Ipv6Addr::parse(std::string_view text) {
+  std::uint64_t hi = 0, lo = 0;
+  for (int group = 0; group < 8; ++group) {
+    if (group > 0) {
+      if (text.empty() || text.front() != ':') return std::nullopt;
+      text.remove_prefix(1);
+    }
+    std::uint32_t value = 0;
+    auto [next, ec] = std::from_chars(
+        text.data(), text.data() + std::min<std::size_t>(4, text.size()), value,
+        16);
+    if (ec != std::errc{} || next == text.data() || value > 0xffff) {
+      return std::nullopt;
+    }
+    text.remove_prefix(static_cast<std::size_t>(next - text.data()));
+    if (group < 4) {
+      hi = (hi << 16) | value;
+    } else {
+      lo = (lo << 16) | value;
+    }
+  }
+  if (!text.empty()) return std::nullopt;
+  return Ipv6Addr{hi, lo};
 }
 
 std::string Ipv6Addr::to_string() const {

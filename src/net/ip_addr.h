@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace spal::net {
 
@@ -53,7 +54,20 @@ class Ipv4Addr {
   /// Dotted-quad representation.
   std::string to_string() const;
 
+  /// The mask of a /`length` prefix: ones in the first `length` bits
+  /// (length in [0, 32]), zeros after.
+  static constexpr Ipv4Addr netmask(int length) {
+    return Ipv4Addr{length == 0 ? 0 : ~std::uint32_t{0} << (kBits - length)};
+  }
+
   friend constexpr auto operator<=>(Ipv4Addr, Ipv4Addr) = default;
+  friend constexpr Ipv4Addr operator&(Ipv4Addr a, Ipv4Addr b) {
+    return Ipv4Addr{a.value_ & b.value_};
+  }
+  friend constexpr Ipv4Addr operator|(Ipv4Addr a, Ipv4Addr b) {
+    return Ipv4Addr{a.value_ | b.value_};
+  }
+  friend constexpr Ipv4Addr operator~(Ipv4Addr a) { return Ipv4Addr{~a.value_}; }
 
  private:
   std::uint32_t value_ = 0;
@@ -61,13 +75,18 @@ class Ipv4Addr {
 
 /// A 128-bit IPv6 address, stored as two host-order 64-bit halves.
 /// Provided for the paper's "SPAL is feasibly applicable to IPv6" extension;
-/// the partitioner and the binary, DP and LC tries accept either family.
+/// prefixes, tables, update streams, traces, the partitioner, the binary,
+/// DP and LC tries and the router accept either family.
 class Ipv6Addr {
  public:
   static constexpr int kBits = 128;
 
   constexpr Ipv6Addr() = default;
   constexpr Ipv6Addr(std::uint64_t hi, std::uint64_t lo) : hi_(hi), lo_(lo) {}
+
+  /// Parses the full form to_string() writes: eight groups of one to four
+  /// hex digits separated by ':' (no "::"). Nullopt on any syntax error.
+  static std::optional<Ipv6Addr> parse(std::string_view text);
 
   constexpr std::uint64_t hi() const { return hi_; }
   constexpr std::uint64_t lo() const { return lo_; }
@@ -103,9 +122,32 @@ class Ipv6Addr {
   /// Hex-groups representation (full, non-compressed form).
   std::string to_string() const;
 
+  /// The mask of a /`length` prefix: ones in the first `length` bits
+  /// (length in [0, 128]), zeros after.
+  static constexpr Ipv6Addr netmask(int length) {
+    return Ipv6Addr{half_mask(length), half_mask(length - 64)};
+  }
+
   friend constexpr auto operator<=>(const Ipv6Addr&, const Ipv6Addr&) = default;
+  friend constexpr Ipv6Addr operator&(const Ipv6Addr& a, const Ipv6Addr& b) {
+    return Ipv6Addr{a.hi_ & b.hi_, a.lo_ & b.lo_};
+  }
+  friend constexpr Ipv6Addr operator|(const Ipv6Addr& a, const Ipv6Addr& b) {
+    return Ipv6Addr{a.hi_ | b.hi_, a.lo_ | b.lo_};
+  }
+  friend constexpr Ipv6Addr operator~(const Ipv6Addr& a) {
+    return Ipv6Addr{~a.hi_, ~a.lo_};
+  }
 
  private:
+  /// Ones in the first `length` bits of a 64-bit half, `length` clamped to
+  /// [0, 64].
+  static constexpr std::uint64_t half_mask(int length) {
+    if (length <= 0) return 0;
+    if (length >= 64) return ~std::uint64_t{0};
+    return ~std::uint64_t{0} << (64 - length);
+  }
+
   std::uint64_t hi_ = 0;
   std::uint64_t lo_ = 0;
 };

@@ -142,11 +142,95 @@ RouteTable make_rt_internet(std::size_t size) {
   return generate_table(config);
 }
 
+std::array<double, Prefix6::kMaxLength + 1> TableGen6Config::default_length_weights() {
+  std::array<double, Prefix6::kMaxLength + 1> weights{};
+  weights[29] = 2.0;
+  weights[32] = 22.0;
+  weights[36] = 4.0;
+  weights[40] = 5.0;
+  weights[44] = 6.0;
+  weights[48] = 48.0;
+  weights[52] = 2.0;
+  weights[56] = 4.0;
+  weights[64] = 6.0;
+  for (int len = 30; len < 48; ++len) {
+    if (weights[static_cast<std::size_t>(len)] == 0.0) {
+      weights[static_cast<std::size_t>(len)] = 0.3;
+    }
+  }
+  return weights;
+}
+
+RouteTable6 generate_table6(const TableGen6Config& config) {
+  std::mt19937_64 rng(config.seed);
+  const auto weights = TableGen6Config::default_length_weights();
+  std::discrete_distribution<int> length_dist(weights.begin(), weights.end());
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<std::uint64_t> word;
+  std::uniform_int_distribution<NextHop> hop_dist(
+      0, config.next_hops == 0 ? 0 : config.next_hops - 1);
+
+  std::vector<RouteEntry6> entries;
+  entries.reserve(config.size);
+  std::vector<Prefix6> nestable;
+  // Hash on (hi, lo, len) for dedup.
+  struct Key {
+    std::uint64_t hi, lo;
+    int len;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>{}(k.hi * 0x9e3779b97f4a7c15ULL ^ k.lo) ^
+             std::hash<int>{}(k.len);
+    }
+  };
+  std::unordered_set<Key, KeyHash> seen;
+
+  while (entries.size() < config.size) {
+    const int length = length_dist(rng);
+    Ipv6Addr addr;
+    const Prefix6* parent = nullptr;
+    if (!nestable.empty() && unit(rng) < config.nested_fraction) {
+      for (int attempt = 0; attempt < 4 && parent == nullptr; ++attempt) {
+        const Prefix6& candidate = nestable[std::uniform_int_distribution<std::size_t>(
+            0, nestable.size() - 1)(rng)];
+        if (candidate.length() < length) parent = &candidate;
+      }
+    }
+    if (parent != nullptr) {
+      addr = random_address_in(*parent, rng);
+    } else {
+      // Global unicast 2000::/3.
+      const std::uint64_t hi = (word(rng) & 0x1fffffffffffffffULL) | 0x2000000000000000ULL;
+      addr = Ipv6Addr{hi, word(rng)};
+    }
+    const Prefix6 prefix(addr, length);
+    const Key key{prefix.address().hi(), prefix.address().lo(), prefix.length()};
+    if (!seen.insert(key).second) continue;
+    entries.push_back(RouteEntry6{prefix, hop_dist(rng)});
+    if (prefix.length() <= 48) nestable.push_back(prefix);
+  }
+  return RouteTable6(std::move(entries));
+}
+
+RouteTable6 make_rt6_internet(std::size_t size) {
+  TableGen6Config config;
+  config.size = size;
+  config.seed = 0x5eed'0011;
+  config.next_hops = 64;
+  return generate_table6(config);
+}
+
 Ipv4Addr random_address_in(const Prefix& prefix, std::mt19937_64& rng) {
-  const std::uint32_t fixed_mask =
-      prefix.length() == 0 ? 0 : (~std::uint32_t{0} << (32 - prefix.length()));
-  const std::uint32_t host = static_cast<std::uint32_t>(rng()) & ~fixed_mask;
-  return Ipv4Addr{prefix.bits() | host};
+  const Ipv4Addr host{static_cast<std::uint32_t>(rng())};
+  return prefix.address() | (host & ~Ipv4Addr::netmask(prefix.length()));
+}
+
+Ipv6Addr random_address_in(const Prefix6& prefix, std::mt19937_64& rng) {
+  const std::uint64_t hi = rng();
+  const Ipv6Addr host{hi, rng()};
+  return prefix.address() | (host & ~Ipv6Addr::netmask(prefix.length()));
 }
 
 }  // namespace spal::net

@@ -1,4 +1,5 @@
-// Synthetic BGP-like routing-table generator.
+// Synthetic BGP-like routing-table generators, one model per address
+// family (the IPv6 one is described at TableGen6Config).
 //
 // The paper evaluates on two real tables: RT_1 (FUNET, 41,709 prefixes) and
 // RT_2 (an AS1221 snapshot, 140,838 prefixes). Neither is shipped here, so
@@ -65,7 +66,29 @@ RouteTable make_rt2();
 /// the paper-era tables with the weight caps active.
 RouteTable make_rt_internet(std::size_t size = 1'000'000);
 
+/// Synthetic IPv6 BGP-like table: mass concentrated on /48 and /32 with the
+/// /29-/44 body and a /64+ tail observed in global v6 tables, within the
+/// 2000::/3 global-unicast space.
+struct TableGen6Config {
+  std::size_t size = 20'000;
+  std::uint64_t seed = 1;
+  std::uint32_t next_hops = 16;
+  double nested_fraction = 0.30;
+
+  /// Per-length weights, index = prefix length 0..128: /48 dominates, /32
+  /// spikes (RIR allocations), body over /29-/44, thin /64+ tail. IPv6
+  /// update streams announce with the same weights.
+  static std::array<double, Prefix6::kMaxLength + 1> default_length_weights();
+};
+
+RouteTable6 generate_table6(const TableGen6Config& config);
+
+/// Modern-internet stand-in: `size` prefixes (default the ~220k-route IPv6
+/// table of the mid-2020s BGP default-free zone).
+RouteTable6 make_rt6_internet(std::size_t size = 220'000);
+
 /// Uniformly random address inside `prefix` (host bits randomized).
 Ipv4Addr random_address_in(const Prefix& prefix, std::mt19937_64& rng);
+Ipv6Addr random_address_in(const Prefix6& prefix, std::mt19937_64& rng);
 
 }  // namespace spal::net

@@ -4,15 +4,14 @@
 // of a backbone router gets updated some 20 times per second on an average
 // (and possibly as many as 100 times)" [3, 15] — and flushes all LR-caches
 // per update. This module generates realistic update sequences (announce /
-// withdraw / next-hop change) against an evolving table so the per-update
-// costs (trie rebuilds, cache disturbance) can be measured.
+// withdraw / next-hop change) against an evolving table of either address
+// family so the per-update costs (trie rebuilds, cache disturbance) can be
+// measured.
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
-#include "net/prefix6.h"
 #include "net/route_table.h"
 
 namespace spal::net {
@@ -23,13 +22,18 @@ enum class UpdateKind : std::uint8_t {
   kHopChange,  ///< an existing prefix's next hop changes (re-announcement)
 };
 
-struct TableUpdate {
+template <typename Addr>
+struct BasicTableUpdate {
   UpdateKind kind;
-  Prefix prefix;
+  BasicPrefix<Addr> prefix;
   NextHop next_hop = kNoRoute;  ///< unused for withdrawals
 
-  friend constexpr auto operator<=>(const TableUpdate&, const TableUpdate&) = default;
+  friend constexpr auto operator<=>(const BasicTableUpdate&,
+                                    const BasicTableUpdate&) = default;
 };
+
+using TableUpdate = BasicTableUpdate<Ipv4Addr>;
+using TableUpdate6 = BasicTableUpdate<Ipv6Addr>;
 
 struct UpdateStreamConfig {
   std::size_t count = 1'000;
@@ -44,27 +48,33 @@ struct UpdateStreamConfig {
 /// Generates `config.count` updates that are valid when applied in order
 /// starting from `initial` (withdrawals always name a live prefix,
 /// announcements a genuinely new one). Deterministic per seed.
-std::vector<TableUpdate> generate_update_stream(const RouteTable& initial,
-                                                const UpdateStreamConfig& config);
+/// Announcements follow the family's table generator: its length weights
+/// (so the table's shape holds as it evolves), at least /8 on IPv4 and /16
+/// on IPv6, anywhere on IPv4 and inside 2000::/3 on IPv6.
+template <typename Addr>
+std::vector<BasicTableUpdate<Addr>> generate_update_stream(
+    const BasicRouteTable<Addr>& initial, const UpdateStreamConfig& config);
+
+/// The IPv6 stream under its older name.
+inline std::vector<TableUpdate6> generate_update_stream6(
+    const RouteTable6& initial, const UpdateStreamConfig& config) {
+  return generate_update_stream(initial, config);
+}
 
 /// Applies one update to `table`. Returns false if the update was a no-op
 /// (withdrawing an absent prefix); generated streams never produce those.
-bool apply_update(RouteTable& table, const TableUpdate& update);
-
-/// IPv6 counterpart of TableUpdate.
-struct TableUpdate6 {
-  UpdateKind kind;
-  Prefix6 prefix;
-  NextHop next_hop = kNoRoute;  ///< unused for withdrawals
-
-  friend constexpr auto operator<=>(const TableUpdate6&, const TableUpdate6&) = default;
-};
-
-/// IPv6 update stream: same kind mix as the v4 generator; announcements use
-/// the v6 table generator's length model inside 2000::/3.
-std::vector<TableUpdate6> generate_update_stream6(const RouteTable6& initial,
-                                                  const UpdateStreamConfig& config);
-
-bool apply_update(RouteTable6& table, const TableUpdate6& update);
+template <typename Addr>
+bool apply_update(BasicRouteTable<Addr>& table,
+                  const BasicTableUpdate<Addr>& update) {
+  switch (update.kind) {
+    case UpdateKind::kAnnounce:
+    case UpdateKind::kHopChange:
+      table.add(update.prefix, update.next_hop);
+      return true;
+    case UpdateKind::kWithdraw:
+      return table.remove(update.prefix);
+  }
+  return false;
+}
 
 }  // namespace spal::net

@@ -13,8 +13,8 @@
 // bit is evaluated over all current subsets jointly and one common bit is
 // chosen for every subset (the partitioning hardware examines the same bit
 // positions of every destination address). Both address families take the
-// same criteria (the paper's Sec. 6 extension); each function has an IPv4
-// and an IPv6 overload.
+// same criteria (the paper's Sec. 6 extension); each function template is
+// instantiated for Ipv4Addr and Ipv6Addr.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/prefix6.h"
+#include "net/route_table.h"
 
 namespace spal::partition {
 
@@ -37,8 +37,9 @@ struct BitStats {
   }
 };
 
-BitStats compute_bit_stats(std::span<const net::RouteEntry> entries, int bit);
-BitStats compute_bit_stats(std::span<const net::RouteEntry6> entries, int bit);
+template <typename Addr>
+BitStats compute_bit_stats(std::span<const net::BasicRouteEntry<Addr>> entries,
+                           int bit);
 
 /// Joint score of one candidate bit across every current subset. The paper
 /// states the two criteria but not how to arbitrate between them; since
@@ -76,10 +77,10 @@ using BitSelector6Config = BasicBitSelectorConfig<net::Ipv6Addr>;
 /// Greedily selects `count` control bits for fragmenting `table`, applying
 /// the two criteria recursively as described in Sec. 3.1. Returns the chosen
 /// bit positions in selection order.
-std::vector<int> select_control_bits(const net::RouteTable& table, int count,
-                                     const BitSelectorConfig& config = {});
-std::vector<int> select_control_bits(const net::RouteTable6& table, int count,
-                                     const BitSelector6Config& config = {});
+template <typename Addr>
+std::vector<int> select_control_bits(const net::BasicRouteTable<Addr>& table,
+                                     int count,
+                                     const BasicBitSelectorConfig<Addr>& config = {});
 
 /// Score of a specific bit set: splits `table` by `bits` and reports the
 /// summed subset sizes and max-min size spread. Used by tests and the

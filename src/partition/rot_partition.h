@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "net/prefix6.h"
+#include "net/route_table.h"
 #include "partition/bit_selector.h"
 
 namespace spal::partition {
@@ -42,8 +42,8 @@ using Partition6Config = BasicPartitionConfig<net::Ipv6Addr>;
 template <typename Addr>
 class BasicRotPartition {
  public:
-  using Prefix = net::PrefixOf<Addr>;
-  using Table = net::TableOf<Addr>;
+  using Prefix = net::BasicPrefix<Addr>;
+  using Table = net::BasicRouteTable<Addr>;
 
   /// Fragments `table` for a router with `num_lcs` line cards (any integer
   /// >= 1). With num_lcs == 1 there is a single partition equal to `table`

@@ -48,8 +48,9 @@ WorkloadProfile profile_scan() {
   return p;
 }
 
-TraceGenerator::TraceGenerator(const WorkloadProfile& profile,
-                               const net::RouteTable& table)
+template <typename Addr>
+BasicTraceGenerator<Addr>::BasicTraceGenerator(
+    const WorkloadProfile& profile, const net::BasicRouteTable<Addr>& table)
     : profile_(profile), table_size_(table.size()) {
   std::mt19937_64 rng(profile.seed);
   // Flow population: destinations drawn from the table's own prefixes so
@@ -60,7 +61,7 @@ TraceGenerator::TraceGenerator(const WorkloadProfile& profile,
     std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
     for (std::size_t i = 0; i < profile.flows; ++i) {
       const std::size_t entry = pick(rng);
-      const net::Prefix& prefix = table.entries()[entry].prefix;
+      const net::BasicPrefix<Addr>& prefix = table.entries()[entry].prefix;
       flow_addresses_.push_back(net::random_address_in(prefix, rng));
       flow_entries_.push_back(entry);
     }
@@ -75,9 +76,10 @@ TraceGenerator::TraceGenerator(const WorkloadProfile& profile,
   for (double& v : popularity_cdf_) v /= total;
 }
 
-std::vector<net::Ipv4Addr> TraceGenerator::generate(int lc,
-                                                    std::size_t count) const {
-  std::vector<net::Ipv4Addr> destinations;
+template <typename Addr>
+std::vector<Addr> BasicTraceGenerator<Addr>::generate(int lc,
+                                                      std::size_t count) const {
+  std::vector<Addr> destinations;
   destinations.reserve(count);
   if (flow_addresses_.empty()) return destinations;
   if (profile_.shape == StreamShape::kScan) {
@@ -103,7 +105,7 @@ std::vector<net::Ipv4Addr> TraceGenerator::generate(int lc,
   const std::size_t hot_set =
       std::max<std::size_t>(1, std::min(profile_.flash_flows,
                                         flow_addresses_.size()));
-  net::Ipv4Addr current = flow_addresses_.front();
+  Addr current = flow_addresses_.front();
   bool have_current = false;
   for (std::size_t i = 0; i < count; ++i) {
     if (!have_current || unit(rng) < p_new) {
@@ -129,7 +131,8 @@ std::vector<net::Ipv4Addr> TraceGenerator::generate(int lc,
   return destinations;
 }
 
-std::vector<double> TraceGenerator::prefix_weights() const {
+template <typename Addr>
+std::vector<double> BasicTraceGenerator<Addr>::prefix_weights() const {
   std::vector<double> weights(table_size_, 0.0);
   for (std::size_t r = 0; r < flow_entries_.size(); ++r) {
     const double mass =
@@ -138,6 +141,9 @@ std::vector<double> TraceGenerator::prefix_weights() const {
   }
   return weights;
 }
+
+template class BasicTraceGenerator<net::Ipv4Addr>;
+template class BasicTraceGenerator<net::Ipv6Addr>;
 
 TraceStats analyze_trace(const std::vector<net::Ipv4Addr>& destinations) {
   TraceStats stats;

@@ -19,7 +19,7 @@
 //
 // The five profiles below differ in population size, skew and burstiness,
 // tuned so a 4K-block 4-way LR-cache lands in the >=0.93 hit-rate band the
-// paper reports for its traces.
+// paper reports for its traces. One generator serves both address families.
 #pragma once
 
 #include <cstdint>
@@ -73,15 +73,18 @@ WorkloadProfile profile_flash_crowd();
 /// … and an address-space scan with no reuse.
 WorkloadProfile profile_scan();
 
-/// Generates per-LC destination streams for one workload over one table.
-class TraceGenerator {
+/// Generates per-LC destination streams for one workload over one table of
+/// address family `Addr` (Ipv4Addr or Ipv6Addr).
+template <typename Addr>
+class BasicTraceGenerator {
  public:
-  TraceGenerator(const WorkloadProfile& profile, const net::RouteTable& table);
+  BasicTraceGenerator(const WorkloadProfile& profile,
+                      const net::BasicRouteTable<Addr>& table);
 
   /// `count` destinations for line card `lc`. Deterministic in
   /// (profile.seed, lc); different lc values give different sequences over
   /// the same flow population.
-  std::vector<net::Ipv4Addr> generate(int lc, std::size_t count) const;
+  std::vector<Addr> generate(int lc, std::size_t count) const;
 
   const WorkloadProfile& profile() const { return profile_; }
   std::size_t flow_count() const { return flow_addresses_.size(); }
@@ -96,10 +99,16 @@ class TraceGenerator {
  private:
   WorkloadProfile profile_;
   std::size_t table_size_ = 0;
-  std::vector<net::Ipv4Addr> flow_addresses_;  ///< rank-ordered (hottest first)
-  std::vector<std::size_t> flow_entries_;      ///< source table entry per flow
-  std::vector<double> popularity_cdf_;         ///< Zipf CDF over ranks
+  std::vector<Addr> flow_addresses_;       ///< rank-ordered (hottest first)
+  std::vector<std::size_t> flow_entries_;  ///< source table entry per flow
+  std::vector<double> popularity_cdf_;     ///< Zipf CDF over ranks
 };
+
+extern template class BasicTraceGenerator<net::Ipv4Addr>;
+extern template class BasicTraceGenerator<net::Ipv6Addr>;
+
+using TraceGenerator = BasicTraceGenerator<net::Ipv4Addr>;
+using TraceGenerator6 = BasicTraceGenerator<net::Ipv6Addr>;
 
 /// Stream summary used by tests and the trace_locality example.
 struct TraceStats {

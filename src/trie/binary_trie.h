@@ -19,8 +19,8 @@ namespace spal::trie {
 template <typename Addr>
 class BasicBinaryTrie final : public BasicLpmIndex<Addr> {
  public:
-  using Prefix = net::PrefixOf<Addr>;
-  using Table = net::TableOf<Addr>;
+  using Prefix = net::BasicPrefix<Addr>;
+  using Table = net::BasicRouteTable<Addr>;
 
   BasicBinaryTrie();
   explicit BasicBinaryTrie(const Table& table);

@@ -9,7 +9,7 @@ namespace {
 /// `key` truncated to its first `len` bits (low bits zeroed).
 template <typename Addr>
 Addr key_head(const Addr& key, int len) {
-  return net::PrefixOf<Addr>(key, len).address();
+  return key & Addr::netmask(len);
 }
 
 }  // namespace

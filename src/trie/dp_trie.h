@@ -26,8 +26,8 @@ namespace spal::trie {
 template <typename Addr>
 class BasicDpTrie final : public BasicLpmIndex<Addr> {
  public:
-  using Prefix = net::PrefixOf<Addr>;
-  using Table = net::TableOf<Addr>;
+  using Prefix = net::BasicPrefix<Addr>;
+  using Table = net::BasicRouteTable<Addr>;
 
   explicit BasicDpTrie(const Table& table);
 

@@ -58,7 +58,7 @@ BasicLcTrie<Addr>::BasicLcTrie(const Table& table, double fill_factor,
   // open internal prefixes yields each entry's covering chain.
   const auto entries = table.entries();
   struct Open {
-    net::PrefixOf<Addr> prefix;
+    net::BasicPrefix<Addr> prefix;
     std::int32_t pre_index;
   };
   std::vector<Open> stack;

@@ -86,7 +86,7 @@ enum LcArena : std::size_t {
 template <typename Addr>
 class BasicLcTrie final : public BasicLpmIndex<Addr> {
  public:
-  using Table = net::TableOf<Addr>;
+  using Table = net::BasicRouteTable<Addr>;
 
   /// Widest branch any node takes, whatever the fill factor allows: 2^20
   /// child slots. `max_root_branch` caps the root further (16 by default).

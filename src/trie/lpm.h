@@ -18,7 +18,7 @@
 #include <string_view>
 #include <vector>
 
-#include "net/prefix6.h"
+#include "net/route_table.h"
 
 namespace spal::trie {
 
@@ -78,7 +78,7 @@ inline constexpr std::size_t kLpmBatchLanes = 8;
 template <typename Addr>
 class BasicLpmIndex {
  public:
-  using Prefix = net::PrefixOf<Addr>;
+  using Prefix = net::BasicPrefix<Addr>;
 
   virtual ~BasicLpmIndex() = default;
 

@@ -4,6 +4,7 @@
 
 #include "core/router_sim.h"
 #include "core/router_sim6.h"
+#include "net/table_gen.h"
 
 namespace {
 
@@ -80,7 +81,7 @@ TEST(V6Family, FeAndOracleAgree) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 500; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     EXPECT_EQ(fe->lookup(addr), oracle.lookup(addr));
   }
 }

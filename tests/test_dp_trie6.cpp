@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "net/table_gen.h"
 #include "trie/binary_trie.h"
 
 namespace {
@@ -57,7 +58,7 @@ TEST(DpTrie6, AgreesWithOracleOnGeneratedTables) {
     const Ipv6Addr addr =
         (i % 2 == 0)
             ? Ipv6Addr{rng() | 0x2000000000000000ULL, rng()}
-            : net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+            : net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     ASSERT_EQ(trie.lookup(addr), oracle.lookup(addr)) << addr.to_string();
   }
 }
@@ -84,7 +85,7 @@ TEST(DpTrie6, FarFewerAccessesThanBinaryWalk) {
   trie::MemAccessCounter binary_counter, dp_counter;
   for (int i = 0; i < 3'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     ASSERT_EQ(compressed.lookup_counted(addr, dp_counter),
               binary.lookup_counted(addr, binary_counter));
   }

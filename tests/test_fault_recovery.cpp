@@ -9,7 +9,6 @@
 
 #include "core/router_sim.h"
 #include "core/router_sim6.h"
-#include "net/prefix6.h"
 #include "net/table_gen.h"
 
 namespace {

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "net/prefix6.h"
+#include "net/table_gen.h"
 #include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
 
@@ -113,6 +113,18 @@ TEST(RouteTable6, SaveLoadRoundTrip) {
 TEST(RouteTable6, LoadRejectsMalformed) {
   std::stringstream bad("2001:0db8/32 1\n");
   EXPECT_FALSE(RouteTable6::load(bad).has_value());
+  // Negative or sentinel next hops and trailing fields, as on IPv4.
+  const std::string prefix = "2001:0db8:0000:0000:0000:0000:0000:0000/32";
+  for (const char* hop : {" -1 junk\n", " -5\n", " 4294967295\n",
+                          " 5 junk\n", " 5x\n"}) {
+    std::stringstream line(prefix + hop);
+    EXPECT_FALSE(RouteTable6::load(line).has_value()) << hop;
+  }
+  std::stringstream good(prefix + " 5\n");
+  const auto loaded = RouteTable6::load(good);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ(loaded->entries()[0].next_hop, 5u);
 }
 
 TEST(TableGen6, SizeSeedAndSpace) {
@@ -144,7 +156,7 @@ TEST(TableGen6, RandomAddressStaysInside) {
   std::mt19937_64 rng(1);
   const Prefix6 prefix = p6(0x20010DB800000000ULL, 0, 48);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(prefix.matches(net::random_address_in6(prefix, rng)));
+    EXPECT_TRUE(prefix.matches(net::random_address_in(prefix, rng)));
   }
 }
 
@@ -158,7 +170,7 @@ TEST(BinaryTrie6, AgreesWithLinearOracle) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 2'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     ASSERT_EQ(trie.lookup(addr), table.lookup_linear(addr));
   }
 }
@@ -201,7 +213,7 @@ TEST_P(Partition6InvariantTest, HomeLookupEqualsFullLookup) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 3'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     const int home = rot.home_of(addr);
     ASSERT_EQ(tries[static_cast<std::size_t>(home)].lookup(addr), oracle.lookup(addr))
         << "psi=" << num_lcs;

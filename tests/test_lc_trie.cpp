@@ -6,7 +6,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "net/prefix6.h"
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
 

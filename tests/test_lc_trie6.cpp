@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "net/table_gen.h"
 #include "trie/binary_trie.h"
 #include "trie/dp_trie.h"
 
@@ -79,7 +80,7 @@ TEST_P(LcTrie6FillTest, OracleAgreement) {
     const Ipv6Addr addr =
         (i % 2 == 0)
             ? Ipv6Addr{rng() | 0x2000000000000000ULL, rng()}
-            : net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+            : net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     ASSERT_EQ(trie.lookup(addr), oracle.lookup(addr))
         << "fill=" << GetParam() << " " << addr.to_string();
   }
@@ -105,7 +106,7 @@ TEST(LcTrie6, FewerAccessesThanDpAndFarFewerThanBinary) {
   trie::MemAccessCounter binary_counter, dp_counter, lc_counter;
   for (int i = 0; i < 3'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     const auto expected = binary.lookup_counted(addr, binary_counter);
     ASSERT_EQ(dp.lookup_counted(addr, dp_counter), expected);
     ASSERT_EQ(lc.lookup_counted(addr, lc_counter), expected);

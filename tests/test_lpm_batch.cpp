@@ -16,7 +16,6 @@
 #include <random>
 #include <vector>
 
-#include "net/prefix6.h"
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
 #include "trie/lc_trie.h"
@@ -260,7 +259,7 @@ TEST(LpmBatch6, LcTrie6MatchesScalarAndOracle) {
       keys.push_back(net::Ipv6Addr{rng(), rng()});
     } else {
       keys.push_back(
-          net::random_address_in6(table.entries()[pick(rng)].prefix, rng));
+          net::random_address_in(table.entries()[pick(rng)].prefix, rng));
     }
   }
   const std::size_t n = keys.size();

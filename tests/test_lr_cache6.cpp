@@ -10,7 +10,7 @@
 
 #include "cache/basic_lr_cache.h"
 #include "lr_cache_filter_check.h"
-#include "net/prefix6.h"
+#include "net/table_gen.h"
 
 namespace {
 

@@ -137,6 +137,18 @@ TEST(RouteTable, LoadRejectsMalformedLines) {
   EXPECT_FALSE(RouteTable::load(bad_prefix).has_value());
   std::stringstream missing_hop("10.0.0.0/8\n");
   EXPECT_FALSE(RouteTable::load(missing_hop).has_value());
+  // A negative hop must not wrap around to kNoRoute (or next to it), the
+  // sentinel itself is no next hop, and a line has exactly two fields.
+  for (const char* line : {"10.0.0.0/8 -1 junk\n", "10.1.0.0/16 -5\n",
+                           "10.0.0.0/8 4294967295\n", "10.0.0.0/8 5 junk\n",
+                           "10.0.0.0/8 5x\n", "10.0.0.0/8 4294967296\n"}) {
+    std::stringstream bad(line);
+    EXPECT_FALSE(RouteTable::load(bad).has_value()) << line;
+  }
+  std::stringstream top_hop("10.0.0.0/8 4294967294\n");
+  const auto loaded = RouteTable::load(top_hop);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->find(p("10.0.0.0/8")), 4'294'967'294u);
 }
 
 TEST(RouteTable, EqualityComparesContents) {

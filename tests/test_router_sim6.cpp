@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/router_sim.h"
+#include "net/table_gen.h"
 
 namespace {
 

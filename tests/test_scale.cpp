@@ -137,7 +137,7 @@ TEST(ScaleDifferential, SampledSliceV6Kinds) {
   for (int i = 0; i < 10'000; ++i) {
     const net::Ipv6Addr addr =
         i % 2 == 0
-            ? net::random_address_in6(slice.entries()[pick(rng)].prefix, rng)
+            ? net::random_address_in(slice.entries()[pick(rng)].prefix, rng)
             : net::Ipv6Addr{rng(), rng()};
     const net::NextHop expected = oracle.lookup(addr);
     ASSERT_EQ(lc.lookup(addr), expected);
@@ -184,7 +184,7 @@ TEST(ScaleBulkBuild, DpSpineBuildMatchesShuffledInserts) {
   for (int i = 0; i < 10'000; ++i) {
     const net::Ipv6Addr addr =
         i % 2 == 0
-            ? net::random_address_in6(slice6.entries()[pick6(rng)].prefix, rng)
+            ? net::random_address_in(slice6.entries()[pick6(rng)].prefix, rng)
             : net::Ipv6Addr{rng(), rng()};
     ASSERT_EQ(bulk6.lookup(addr), incremental6.lookup(addr));
   }
@@ -243,7 +243,7 @@ TEST(ScaleWideLayout, LcTrieWidePathMatchesPacked) {
   for (int i = 0; i < 10'000; ++i) {
     addrs6.push_back(
         i % 2 == 0
-            ? net::random_address_in6(slice6.entries()[pick6(rng)].prefix, rng)
+            ? net::random_address_in(slice6.entries()[pick6(rng)].prefix, rng)
             : net::Ipv6Addr{rng(), rng()});
   }
   std::vector<net::NextHop> from_packed6(addrs6.size());

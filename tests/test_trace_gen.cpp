@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
@@ -111,6 +115,93 @@ TEST(TraceGen, AllProfilesAreDistinctAndNamed) {
   std::set<std::uint64_t> seeds;
   for (const auto& p : profiles) seeds.insert(p.seed);
   EXPECT_EQ(seeds.size(), 5u);
+}
+
+// The stream shapes and prefix_weights() over both address families.
+net::RouteTable family_table(net::Ipv4Addr) {
+  net::TableGenConfig config;
+  config.size = 5'000;
+  config.seed = 3;
+  return net::generate_table(config);
+}
+net::RouteTable6 family_table(net::Ipv6Addr) {
+  net::TableGen6Config config;
+  config.size = 5'000;
+  config.seed = 3;
+  return net::generate_table6(config);
+}
+
+template <typename Addr>
+class TraceGenFamily : public ::testing::Test {};
+
+struct FamilyName {
+  template <typename Addr>
+  static std::string GetName(int) {
+    return Addr::kBits == 32 ? "V4" : "V6";
+  }
+};
+
+using Families = ::testing::Types<net::Ipv4Addr, net::Ipv6Addr>;
+TYPED_TEST_SUITE(TraceGenFamily, Families, FamilyName);
+
+TYPED_TEST(TraceGenFamily, ScanSweepsTheFlowPopulation) {
+  WorkloadProfile profile = trace::profile_scan();
+  profile.flows = 2'000;
+  const trace::BasicTraceGenerator<TypeParam> gen(profile,
+                                                  family_table(TypeParam{}));
+  const auto stream = gen.generate(1, 5'000);
+  ASSERT_EQ(stream.size(), 5'000u);
+  for (std::size_t i = profile.flows; i < stream.size(); ++i) {
+    ASSERT_EQ(stream[i], stream[i - profile.flows]) << i;
+  }
+  // One period visits every flow once: (nearly) all distinct, where a
+  // stationary stream over the same population repeats its hot head.
+  const std::set<TypeParam> period(stream.begin(),
+                                   stream.begin() + profile.flows);
+  EXPECT_GT(period.size(), profile.flows * 95 / 100);
+}
+
+TYPED_TEST(TraceGenFamily, FlashCrowdConcentratesOnTheHotSet) {
+  const WorkloadProfile profile = trace::profile_flash_crowd();
+  const trace::BasicTraceGenerator<TypeParam> gen(profile,
+                                                  family_table(TypeParam{}));
+  const std::size_t count = 20'000;
+  const auto stream = gen.generate(1, count);
+  const auto onset =
+      static_cast<std::ptrdiff_t>(profile.flash_start * static_cast<double>(count));
+  // Share of a stretch carried by its `flash_flows` most frequent addresses.
+  const auto head_share = [&](auto first, auto last) {
+    std::map<TypeParam, std::size_t> counts;
+    for (auto it = first; it != last; ++it) ++counts[*it];
+    std::vector<std::size_t> sorted;
+    for (const auto& [addr, n] : counts) sorted.push_back(n);
+    std::sort(sorted.rbegin(), sorted.rend());
+    const std::size_t head = std::min(profile.flash_flows, sorted.size());
+    return static_cast<double>(std::accumulate(
+               sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(head),
+               std::size_t{0})) /
+           static_cast<double>(last - first);
+  };
+  // Before onset the hot set carries only its Zipf mass (about 0.19 here);
+  // after it, flash_share plus that mass of the rest (0.666 on IPv4).
+  EXPECT_LT(head_share(stream.begin(), stream.begin() + onset), 0.3);
+  const double after = head_share(stream.begin() + onset, stream.end());
+  EXPECT_GT(after, profile.flash_share - 0.05);
+  EXPECT_LT(after, 0.8);
+}
+
+TYPED_TEST(TraceGenFamily, PrefixWeightsParallelTheTableAndSumToOne) {
+  const auto table = family_table(TypeParam{});
+  const trace::BasicTraceGenerator<TypeParam> gen(trace::profile_d75(), table);
+  const std::vector<double> weights = gen.prefix_weights();
+  ASSERT_EQ(weights.size(), table.size());
+  EXPECT_NEAR(std::accumulate(weights.begin(), weights.end(), 0.0), 1.0, 1e-12);
+  for (const double w : weights) EXPECT_GE(w, 0.0);
+
+  const trace::BasicTraceGenerator<TypeParam> empty(
+      trace::profile_d75(), net::BasicRouteTable<TypeParam>{});
+  EXPECT_TRUE(empty.prefix_weights().empty());
+  EXPECT_EQ(empty.flow_count(), 0u);
 }
 
 TEST(AnalyzeTrace, CountsDistinctAndMass) {

@@ -177,11 +177,11 @@ TEST(UpdateDifferential, V6DpIncrementalTracksBinaryOracle) {
     apply_to_index(oracle, update);
     const Ipv6Addr uniform{rng(), rng()};
     ASSERT_EQ(dp.lookup(uniform), oracle.lookup(uniform)) << "update " << i;
-    const Ipv6Addr covered = net::random_address_in6(update.prefix, rng);
+    const Ipv6Addr covered = net::random_address_in(update.prefix, rng);
     ASSERT_EQ(dp.lookup(covered), oracle.lookup(covered)) << "update " << i;
     if ((i + 1) % 1'000 == 0) {
       for (const auto& entry : working.entries()) {
-        const Ipv6Addr addr = net::random_address_in6(entry.prefix, rng);
+        const Ipv6Addr addr = net::random_address_in(entry.prefix, rng);
         ASSERT_EQ(dp.lookup(addr), oracle.lookup(addr))
             << "batch after update " << i;
       }
@@ -216,7 +216,7 @@ TEST(UpdateDifferential, V6LcTrieEpochRebuildTracksBinaryOracle) {
       const Ipv6Addr uniform{rng(), rng()};
       ASSERT_EQ(fe.lookup(uniform), oracle.lookup(uniform))
           << "epoch after update " << end;
-      const Ipv6Addr covered = net::random_address_in6(
+      const Ipv6Addr covered = net::random_address_in(
           working.entries()[pick(rng)].prefix, rng);
       ASSERT_EQ(fe.lookup(covered), oracle.lookup(covered))
           << "epoch after update " << end;

@@ -20,7 +20,6 @@
 #include <random>
 #include <vector>
 
-#include "net/prefix6.h"
 #include "net/table_gen.h"
 #include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
@@ -222,7 +221,7 @@ TEST(WeightedPartition, RandomWeightsKeepPartitionWellFormedV6) {
     std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
     for (int i = 0; i < 1'000; ++i) {
       const auto& prefix = table.entries()[pick(rng)].prefix;
-      const net::Ipv6Addr addr = net::random_address_in6(prefix, rng);
+      const net::Ipv6Addr addr = net::random_address_in(prefix, rng);
       const int home = rot.home_of(addr);
       ASSERT_GE(home, 0);
       ASSERT_LT(home, psi);
