@@ -7,7 +7,7 @@
 // the measured worst case, and the speedup over the optimistic baseline.
 // After the simulated table, the bench measures the *host-side* lookup rate
 // of LC 0's built trie — the scalar path vs the interleaved batch pipeline
-// (chunk width from --batch, default 8) — through the core fe_host_lookup
+// (chunk width from --batch, default 8) — through the router's host_fe_lookup
 // path, so the abstract 40-cycle FE model sits next to real ns/lookup.
 #include <chrono>
 #include <random>
