@@ -12,8 +12,13 @@
 //                   within a bounded horizon (the DES steady state)
 //   same_cycle      bursty: each pop pushes a batch at one shared future
 //                   cycle (waiting-list release storms)
-//   upfront_drain   every event pre-scheduled (packet arrivals), then a pure
-//                   drain with occasional near-future completions
+//   streamed_arrivals
+//                   the router's loop: ψ = 16 arrival lanes at 40 Gbps
+//                   merged with a hold-model in-flight population of 128
+//                   events (1-64 cycles out) that runs while arrivals
+//                   remain. The calendar streams the arrivals from an
+//                   ArrivalLane over a reserved seq range; the heap is fed
+//                   every arrival up front, which pops the same order.
 //   far_future      bimodal: 1/8 of pushes land ~1M cycles out (overflow
 //                   heap path)
 //
@@ -26,10 +31,12 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/calendar_queue.h"
 #include "sim/engine.h"
+#include "sim/packet_source.h"
 
 using namespace spal;
 
@@ -61,10 +68,8 @@ std::vector<Op> make_tape(const char* pattern, std::size_t events,
     for (std::size_t i = 0; i < events; ++i) {
       tape.push_back({64 + rng() % 64, (i % 8 == 0) ? 8 : 0});
     }
-  } else if (std::strcmp(pattern, "upfront_drain") == 0) {
-    for (std::size_t i = 0; i < events; ++i) {
-      tape.push_back({2 + rng() % 17, (i % 8 == 0) ? 1 : 0});
-    }
+  } else if (std::strcmp(pattern, "streamed_arrivals") == 0) {
+    for (std::size_t i = 0; i < events; ++i) tape.push_back({1 + rng() % 64, 1});
   } else {  // far_future
     for (std::size_t i = 0; i < events; ++i) {
       tape.push_back({(i % 8 == 7) ? 1'000'000 + rng() % 4096 : 1 + rng() % 256, 1});
@@ -73,54 +78,122 @@ std::vector<Op> make_tape(const char* pattern, std::size_t events,
   return tape;
 }
 
-/// Replays one tape: prefill, then pop/push per the tape. Returns a checksum
-/// of the pop sequence (order-sensitive) so runs can be compared.
-template <typename Queue>
-std::uint64_t replay(Queue& queue, const char* pattern,
-                     const std::vector<Op>& tape) {
-  const bool upfront = std::strcmp(pattern, "upfront_drain") == 0;
-  std::uint64_t id = 0;
-  std::uint64_t now = 0;
-  if (upfront) {
-    // The router knows its arrival horizon up front; mirror that here so the
-    // calendar sizes its bucket width to fit the whole span in one lap.
-    std::uint64_t horizon = 0;
-    for (const Op& op : tape) horizon += op.delta;
-    if constexpr (requires(Queue& q) { q.reserve(std::size_t{}, std::uint64_t{}); }) {
-      queue.reserve(tape.size(), horizon);
-    } else {
-      queue.reserve(tape.size());
-    }
-    std::uint64_t t = 0;
-    for (const Op& op : tape) {
-      t += op.delta;
-      queue.schedule(t, Payload{id, id ^ t});
-      ++id;
-    }
-  } else {
-    // Steady-state population of 4K events.
-    std::mt19937_64 rng(7);
-    for (int i = 0; i < 4096; ++i) {
-      queue.schedule(rng() % 4096, Payload{id, id});
-      ++id;
-    }
-  }
+/// What one replay popped: an order-sensitive checksum (so runs can be
+/// compared) and the event count.
+struct Replay {
   std::uint64_t checksum = 0;
+  std::uint64_t pops = 0;
+
+  void record(std::uint64_t time, std::uint64_t id) {
+    checksum = checksum * 0x9e3779b97f4a7c15ULL + (id ^ time);
+    ++pops;
+  }
+};
+
+/// Replays one tape: prefill, then pop/push per the tape.
+template <typename Queue>
+Replay replay(Queue& queue, const std::vector<Op>& tape) {
+  std::uint64_t id = 0;
+  // Steady-state population of 4K events.
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 4096; ++i) {
+    queue.schedule(rng() % 4096, Payload{id, id});
+    ++id;
+  }
+  Replay out;
   std::size_t op_index = 0;
   while (!queue.empty()) {
-    auto [time, payload] = queue.pop();
-    now = time;
-    checksum = checksum * 0x9e3779b97f4a7c15ULL + (payload.id ^ now);
+    auto [now, payload] = queue.pop();
+    out.record(now, payload.id);
     if (op_index < tape.size()) {
       const Op& op = tape[op_index++];
-      const int pushes = upfront ? (op.pushes != 0 ? 1 : 0) : op.pushes;
-      for (int p = 0; p < pushes; ++p) {
+      for (int p = 0; p < op.pushes; ++p) {
         queue.schedule(now + op.delta, Payload{id, id ^ now});
         ++id;
       }
     }
   }
-  return checksum;
+  return out;
+}
+
+/// The streamed_arrivals pattern's input: `arrivals` packets over 16 lanes
+/// at 40 Gbps, LC-major, with each lane's first packet id.
+struct Lanes {
+  std::vector<std::uint64_t> times;
+  std::vector<std::size_t> first{0};
+};
+
+Lanes make_lanes(std::size_t arrivals) {
+  constexpr int kLanes = 16;
+  Lanes lanes;
+  for (int lc = 0; lc < kLanes; ++lc) {
+    const auto times = sim::generate_arrival_times(
+        40.0, arrivals / kLanes, 42 ^ static_cast<std::uint64_t>(lc));
+    lanes.times.insert(lanes.times.end(), times.begin(), times.end());
+    lanes.first.push_back(lanes.times.size());
+  }
+  return lanes;
+}
+
+/// The streamed_arrivals pattern (see the file comment): while arrivals
+/// remain, every in-flight pop pushes one successor at the tape's next
+/// delta.
+template <typename Queue>
+Replay replay_streamed(Queue& queue, const std::vector<Op>& tape,
+                       const Lanes& lanes) {
+  constexpr std::uint64_t kArrival = std::uint64_t{1} << 63;
+  const std::vector<std::uint64_t>& times = lanes.times;
+  std::uint64_t id = 0;
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 128; ++i) {
+    queue.schedule(rng() % 64, Payload{id, id});
+    ++id;
+  }
+  constexpr bool kStreams = requires(Queue& q) { q.reserve_seqs(std::uint64_t{}); };
+  sim::ArrivalLane lane;
+  std::uint64_t arrival_seq = 0;
+  if constexpr (kStreams) {
+    arrival_seq = queue.reserve_seqs(times.size());
+    lane = sim::ArrivalLane(times, lanes.first);
+  } else {
+    for (std::size_t p = 0; p < times.size(); ++p) {
+      queue.schedule(times[p], Payload{kArrival | p, p});
+    }
+  }
+  Replay out;
+  std::size_t arrivals_left = times.size();
+  std::size_t op_index = 0;
+  for (;;) {
+    std::uint64_t now = 0;
+    Payload payload{};
+    if constexpr (kStreams) {
+      const bool from_lane =
+          !lane.empty() &&
+          (queue.empty() ||
+           !queue.head_before(lane.next_time(), arrival_seq + lane.next_packet()));
+      if (from_lane) {
+        now = lane.next_time();
+        const std::size_t p = lane.pop();
+        payload = Payload{kArrival | p, p};
+      } else if (!queue.empty()) {
+        std::tie(now, payload) = queue.pop();
+      } else {
+        break;
+      }
+    } else {
+      if (queue.empty()) break;
+      std::tie(now, payload) = queue.pop();
+    }
+    out.record(now, payload.id);
+    if ((payload.id & kArrival) != 0) {
+      --arrivals_left;
+    } else if (arrivals_left != 0) {
+      const Op& op = tape[op_index++ % tape.size()];
+      queue.schedule(now + op.delta, Payload{id, id ^ now});
+      ++id;
+    }
+  }
+  return out;
 }
 
 struct Measurement {
@@ -132,17 +205,16 @@ struct Measurement {
 template <typename Queue>
 Measurement measure(const char* pattern, std::size_t events) {
   const std::vector<Op> tape = make_tape(pattern, events, /*seed=*/42);
+  const bool streamed = std::strcmp(pattern, "streamed_arrivals") == 0;
+  const Lanes lanes = streamed ? make_lanes(events) : Lanes{};
   Queue queue;
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t checksum = replay(queue, pattern, tape);
+  const Replay run = streamed ? replay_streamed(queue, tape, lanes)
+                              : replay(queue, tape);
   const auto stop = std::chrono::steady_clock::now();
-  // Total pops ≈ prefill + pushes; use the tape-derived count for the rate.
-  std::uint64_t processed = std::strcmp(pattern, "upfront_drain") == 0
-                                ? events + events / 8
-                                : 4096 + events;
   const double ns =
       std::chrono::duration<double, std::nano>(stop - start).count();
-  return {ns / static_cast<double>(processed), processed, checksum};
+  return {ns / static_cast<double>(run.pops), run.pops, run.checksum};
 }
 
 }  // namespace
@@ -154,7 +226,7 @@ int main(int argc, char** argv) {
       events = static_cast<std::size_t>(std::atoll(argv[i] + 9));
     }
   }
-  const char* patterns[] = {"hold", "same_cycle", "upfront_drain", "far_future"};
+  const char* patterns[] = {"hold", "same_cycle", "streamed_arrivals", "far_future"};
   std::printf("{\"bench\":\"engine_micro\",\"events\":%zu,\"results\":[", events);
   bool first = true;
   int mismatches = 0;

@@ -29,6 +29,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "core/spal.h"
@@ -186,7 +187,11 @@ int main(int argc, char** argv) {
   config.cache.remote_fraction = gamma / 100.0;
   config.line_rate_gbps =
       parse_number("--rate", args.value("--rate").value_or("40"));
-  if (config.line_rate_gbps <= 0.0) usage_error("--rate expects a positive Gbps");
+  try {
+    (void)sim::arrival_bounds(config.line_rate_gbps);
+  } catch (const std::invalid_argument& e) {
+    usage_error("--rate: " + std::string(e.what()));
+  }
   config.fe_service_cycles =
       parse_int("--fe-cycles", args.value("--fe-cycles").value_or("40"), 1);
   config.fe_parallelism =

@@ -24,7 +24,10 @@
 //   };
 //
 // Execution model. One calendar queue drives every LC's events on the
-// calling thread. A fabric send happens in two phases: the *egress* phase
+// calling thread, merged with an arrival lane that yields each packet's
+// first lookup straight from the per-LC arrival times (the lane's seqs are
+// reserved in the queue, so ties break as if every arrival were queued).
+// A fabric send happens in two phases: the *egress* phase
 // (source-port serialization, traversal, fault draws) runs when the handler
 // sends and yields a raw arrival time at the destination port; the message
 // then waits in an in-flight min-heap keyed (raw arrival, origin LC,
@@ -41,6 +44,7 @@
 #include <deque>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -77,6 +81,9 @@ class BasicRouterSim {
     if (config.num_lcs < 1) {
       throw std::invalid_argument("RouterSim: num_lcs must be >= 1");
     }
+    // Throws for a rate that is not finite and positive or whose arrival
+    // gaps overflow an int, before any run generates arrivals from it.
+    (void)sim::arrival_bounds(config.line_rate_gbps);
     if (config.migration.enabled) {
       if (!config.partition || config.num_lcs < 2) {
         throw std::invalid_argument(
@@ -147,25 +154,35 @@ class BasicRouterSim {
             static_cast<std::size_t>(config_.num_lcs),
         0);
     waiting_depth_.assign(static_cast<std::size_t>(config_.num_lcs), 0);
-    std::size_t total_packets = 0;
-    for (const auto& stream : streams) total_packets += stream.size();
-    // Generate per-LC arrival times before sizing the queues: the count
-    // bounds their peak population and the last arrival bounds the schedule
-    // horizon (so the calendar engine picks a bucket width that fits the
-    // whole run).
-    std::vector<std::vector<std::uint64_t>> arrivals_per_lc;
-    arrivals_per_lc.reserve(static_cast<std::size_t>(config_.num_lcs));
+    // Global packet ids are LC-major: LC lc's i-th packet is id
+    // lc_first_packet_[lc] + i, and its destination is read from the
+    // caller's stream (destination()). Each LC's arrival times are
+    // generated straight into its id range; the arrival lane streams them
+    // to the loop (run_events), so they are never scheduled.
+    streams_ = &streams;
+    lc_first_packet_.assign(1, 0);
+    for (const auto& stream : streams) {
+      lc_first_packet_.push_back(lc_first_packet_.back() + stream.size());
+    }
+    const std::size_t total_packets = lc_first_packet_.back();
+    arrival_time_.resize(total_packets);
+    arrival_lc_.resize(total_packets);
+    resolved_.assign(total_packets, 0);
     std::uint64_t arrival_horizon = 0;
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
-      arrivals_per_lc.push_back(sim::generate_arrival_times(
-          config_.line_rate_gbps, streams[static_cast<std::size_t>(lc)].size(),
-          config_.seed ^ (0xabcdef12345ULL + static_cast<std::uint64_t>(lc))));
-      if (!arrivals_per_lc.back().empty()) {
-        arrival_horizon = std::max(arrival_horizon, arrivals_per_lc.back().back());
+      const std::size_t first = lc_first_packet_[static_cast<std::size_t>(lc)];
+      const std::size_t count = streams[static_cast<std::size_t>(lc)].size();
+      sim::fill_arrival_times(
+          config_.line_rate_gbps,
+          config_.seed ^ (0xabcdef12345ULL + static_cast<std::uint64_t>(lc)),
+          std::span(arrival_time_).subspan(first, count));
+      std::fill_n(arrival_lc_.begin() + static_cast<std::ptrdiff_t>(first), count, lc);
+      if (count != 0) {
+        arrival_horizon = std::max(arrival_horizon, arrival_time_[first + count - 1]);
       }
     }
-    // Live route-update pipeline: resolve how many updates this run injects
-    // before sizing the queues (their schedule extends the horizon).
+    // Live route-update pipeline: how many updates this run injects, one
+    // per interval (by default as many as fit the arrival horizon).
     const bool live_updates = config_.update.interval_cycles != 0;
     std::size_t update_count = 0;
     if (live_updates) {
@@ -175,11 +192,6 @@ class BasicRouterSim {
                                                 config_.update.interval_cycles);
       }
     }
-    const std::uint64_t update_horizon =
-        live_updates ? static_cast<std::uint64_t>(update_count) *
-                           config_.update.interval_cycles
-                     : 0;
-    const std::uint64_t horizon = std::max(arrival_horizon, update_horizon);
     verify_ = verify;
     timeout_base_ = config_.recovery.timeout_cycles;
     if (timeout_base_ == 0) {
@@ -305,18 +317,22 @@ class BasicRouterSim {
     residents_dirty_ = !updates_.empty();
     oracle_dirty_ = !updates_.empty() && oracle_ != nullptr;
 
-    // Assign global packet ids.
-    arrival_time_.assign(total_packets, 0);
-    arrival_lc_.assign(total_packets, 0);
-    resolved_.assign(total_packets, 0);
-    destinations_.clear();
-    destinations_.reserve(total_packets);
+    // Rebalancer windows: one tick per window of the arrival schedule.
+    const std::size_t rebalance_windows =
+        config_.rebalancer.enabled
+            ? static_cast<std::size_t>(arrival_horizon /
+                                       config_.rebalancer.window_cycles) + 1
+            : 0;
 
-    // Scatter the initial schedule. The insertion order — updates, the
-    // migration start, arrivals LC by LC, rebalancer ticks — breaks
-    // equal-time ties, so it is part of the result.
+    // The initial schedule. Its order — updates, the migration start,
+    // arrivals LC by LC, rebalancer ticks — breaks equal-time ties, so it
+    // is part of the result. The arrivals keep their place as a reserved
+    // seq range (packet p has seq arrival_seq_ + p) instead of calendar
+    // entries, and the wheel is sized for the events it holds from the
+    // start: its buckets keep their capacity once drained.
     queue_ = sim::CalendarQueue<Event>{};
-    queue_.reserve(total_packets + update_count, horizon);
+    queue_.reserve(updates_.size() + (config_.migration.enabled ? 1 : 0) +
+                   rebalance_windows);
     inflight_.clear();
     waiting_.clear();
     pending_.clear();
@@ -338,20 +354,8 @@ class BasicRouterSim {
                             Addr{}, Requester{config_.migration.from, -1, false},
                             false, net::kNoRoute});
     }
-    std::int64_t packet_id = 0;
-    for (int lc = 0; lc < config_.num_lcs; ++lc) {
-      const auto& stream = streams[static_cast<std::size_t>(lc)];
-      const auto& arrivals = arrivals_per_lc[static_cast<std::size_t>(lc)];
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        arrival_time_[static_cast<std::size_t>(packet_id)] = arrivals[i];
-        arrival_lc_[static_cast<std::size_t>(packet_id)] = lc;
-        destinations_.push_back(stream[i]);
-        queue_.schedule(arrivals[i], Event{Event::Type::kLookup, lc, stream[i],
-                                           Requester{lc, packet_id, false},
-                                           false, net::kNoRoute});
-        ++packet_id;
-      }
-    }
+    arrival_seq_ = queue_.reserve_seqs(total_packets);
+    lane_ = sim::ArrivalLane(arrival_time_, lc_first_packet_);
     if (config_.rebalancer.enabled) {
       // Per-window offered load per fragment, precomputed from the arrival
       // schedule (the home mapping is static; which LC *serves* a fragment
@@ -359,19 +363,17 @@ class BasicRouterSim {
       // keeps the hot path untouched and immune to the cache-port gate's
       // event reschedules double-counting an arrival.
       const std::uint64_t win = config_.rebalancer.window_cycles;
-      const std::size_t windows =
-          static_cast<std::size_t>(arrival_horizon / win) + 1;
       window_frag_counts_.assign(
-          windows, std::vector<std::uint64_t>(
-                       static_cast<std::size_t>(config_.num_lcs), 0));
-      for (std::size_t p = 0; p < destinations_.size(); ++p) {
+          rebalance_windows,
+          std::vector<std::uint64_t>(static_cast<std::size_t>(config_.num_lcs), 0));
+      for (std::size_t p = 0; p < total_packets; ++p) {
         const std::size_t w = static_cast<std::size_t>(arrival_time_[p] / win);
-        const int frag = rot_->home_of(destinations_[p]);
+        const int frag = rot_->home_of(destination(p));
         ++window_frag_counts_[w][static_cast<std::size_t>(frag)];
       }
       // Finite tick schedule (one per window, management plane at LC 0):
       // a self-rescheduling tick would never let the event queue drain.
-      for (std::size_t w = 0; w < windows; ++w) {
+      for (std::size_t w = 0; w < rebalance_windows; ++w) {
         queue_.schedule(
             (static_cast<std::uint64_t>(w) + 1) * win,
             Event{Event::Type::kRebalanceTick, 0, Addr{},
@@ -380,6 +382,7 @@ class BasicRouterSim {
     }
 
     run_events();
+    streams_ = nullptr;
     // Rebuild the FEs the run's last updates left stale, so
     // trie_storage_bytes(), host_fe_lookup() and the next run see them
     // built.
@@ -708,22 +711,45 @@ class BasicRouterSim {
     queue_.schedule(fabric_->ingress_commit(msg.event.lc, msg.raw), msg.event);
   }
 
-  /// Commits in-flight messages and dispatches events until both are
-  /// empty. A message whose raw arrival is at or before the next event's
-  /// time commits first (the canonical order; see the file comment).
+  /// Commits in-flight messages and dispatches events until the calendar,
+  /// the arrival lane and the in-flight heap are all empty. The next event
+  /// is the earlier of the calendar head and the lane head by (time, seq);
+  /// a message whose raw arrival is at or before its time commits first
+  /// (the canonical order; see the file comment).
   void run_events() {
-    while (!queue_.empty() || !inflight_.empty()) {
-      if (!inflight_.empty() &&
-          (queue_.empty() || inflight_.front().raw <= queue_.next_time())) {
+    for (;;) {
+      const bool from_lane =
+          !lane_.empty() &&
+          (queue_.empty() ||
+           !queue_.head_before(lane_.next_time(), arrival_seq_ + lane_.next_packet()));
+      if (!from_lane && queue_.empty()) {
+        if (inflight_.empty()) return;
         commit_front();
+        continue;
+      }
+      const std::uint64_t next = from_lane ? lane_.next_time() : queue_.next_time();
+      if (!inflight_.empty() && inflight_.front().raw <= next) {
+        commit_front();
+      } else if (from_lane) {
+        const std::size_t packet = lane_.pop();
+        const int lc = arrival_lc_[packet];
+        dispatch(next, Event{Event::Type::kLookup, lc, destination(packet),
+                             Requester{lc, static_cast<std::int64_t>(packet), false},
+                             false, net::kNoRoute});
       } else {
-        dispatch_one();
+        const auto [now, event] = queue_.pop();
+        dispatch(now, event);
       }
     }
   }
 
-  void dispatch_one() {
-    auto [now, event] = queue_.pop();
+  /// Packet `packet`'s destination, read from the run's streams.
+  const Addr& destination(std::size_t packet) const {
+    const auto lc = static_cast<std::size_t>(arrival_lc_[packet]);
+    return (*streams_)[lc][packet - lc_first_packet_[lc]];
+  }
+
+  void dispatch(std::uint64_t now, const Event& event) {
     // A timer whose request already settled (reply accepted or degraded)
     // is stale: skip it before it can stretch the measured makespan.
     if (event.type == Event::Type::kTimeout &&
@@ -1062,7 +1088,7 @@ class BasicRouterSim {
           .record(cycles);
     }
     if (verify_) {
-      const net::NextHop expected = oracle_->lookup(destinations_[index]);
+      const net::NextHop expected = oracle_->lookup(destination(index));
       if (expected != hop && !update_excuses(index, now)) {
         ++result_.verify_mismatches;
       }
@@ -1078,7 +1104,7 @@ class BasicRouterSim {
   /// is the staleness property the update tests assert.
   bool update_excuses(std::size_t packet_index, std::uint64_t resolve_time) const {
     if (updates_.empty()) return false;
-    const Addr& dst = destinations_[packet_index];
+    const Addr& dst = destination(packet_index);
     const std::uint64_t arrival = arrival_time_[packet_index];
     for (std::size_t i = 0; i < updates_.size(); ++i) {
       if (update_inject_time_[i] > resolve_time) break;  // stream is time-ordered
@@ -1150,7 +1176,7 @@ class BasicRouterSim {
   }
 
   void handle_timeout(std::uint64_t now, const Event& event) {
-    // Stale timers were filtered in dispatch_one: this seq is live.
+    // Stale timers were filtered in dispatch: this seq is live.
     const auto it = pending_.find(event.requester.seq);
     PendingRequest& pending = it->second;
     ++result_.fault.timeouts;
@@ -2105,8 +2131,11 @@ class BasicRouterSim {
   std::vector<std::uint64_t> waiting_depth_;  // per LC, currently parked
   std::vector<std::uint64_t> arrival_time_;          // per packet
   std::vector<int> arrival_lc_;                      // per packet
-  std::vector<Addr> destinations_;                   // per packet
   std::vector<std::uint8_t> resolved_;               // per packet
+  const std::vector<std::vector<Addr>>* streams_ = nullptr;  // during run()
+  std::vector<std::size_t> lc_first_packet_;  // per LC + 1: first packet id
+  sim::ArrivalLane lane_;     // each packet's first kLookup
+  std::uint64_t arrival_seq_ = 0;  // queue seq of packet 0's arrival
   std::uint64_t next_flush_ = 0;
   std::mt19937_64 update_rng_;
   // Live-update pipeline state. oracle_dirty_ makes run() rebuild the

@@ -11,13 +11,13 @@
 //     the current cycle, allowed for API parity with EventQueue) overflow
 //     into a binary min-heap ordered by (time, seq). When the wheel runs
 //     dry, the next lap's worth of overflow migrates into the buckets, so
-//     bulk pre-scheduled horizons drain through the O(1) path lap by lap.
+//     far-future events drain through the O(1) path lap by lap.
 //   * The events of the cycle currently being drained sit in `ready_`, a
 //     (time, seq)-sorted FIFO lane; same-cycle schedules append to it.
 //   * The wheel resizes automatically: the bucket count grows with the
 //     pending event count, and reserve(count, horizon) derives the bucket
-//     width from a known schedule span (e.g. a run's packet arrivals) so
-//     the whole horizon fits in one lap up front.
+//     width from a known schedule span so the whole horizon fits in one lap
+//     up front.
 //
 // Ordering contract: pops come out in exactly the same (time, insertion-seq)
 // order as EventQueue (engine.h) — equal-time events pop FIFO. Every pop
@@ -25,6 +25,15 @@
 // lane and the overflow heap, so the order is independent of resize or
 // migration timing. EventQueue is the reference the tests and
 // bench_engine_micro check this queue against.
+//
+// Merging with an outside stream. A caller that keeps some events outside
+// the queue (the router's arrival lane, sim/packet_source.h) takes a seq
+// range for them with reserve_seqs() at the point where it would have
+// scheduled them, and merges by testing head_before() against its own
+// head. Events scheduled later number after the range, so the merged
+// (time, seq) order is the one a single queue fed everything would pop.
+// The drain cursor may then run ahead of the outside stream; schedules
+// below it take the overflow heap, and pop() still compares heads.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +53,10 @@ class CalendarQueue {
   }
 
   /// Sizes the wheel for an expected total event count, and — when the
-  /// caller knows it, e.g. from a run's last packet arrival — a time
-  /// horizon the bucket width is derived from so every pre-scheduled event
-  /// lands in the wheel rather than the overflow heap.
+  /// caller knows it — a time horizon the bucket width is derived from so
+  /// every pre-scheduled event lands in the wheel rather than the overflow
+  /// heap. Cleared buckets keep their capacity, so size for the events the
+  /// queue will actually hold.
   void reserve(std::size_t expected_events, std::uint64_t horizon = 0) {
     const std::size_t target = clamp_buckets(expected_events / kLoadFactor);
     if (target > buckets_.size()) rebuild(target);
@@ -73,6 +83,15 @@ class CalendarQueue {
     if (ready_pos_ >= ready_.size() && wheel_count_ > 0) advance();
   }
 
+  /// Takes the next `count` seqs for events the caller keeps outside the
+  /// queue and returns the first; event k of the range orders as if it had
+  /// been scheduled here with seq first + k.
+  std::uint64_t reserve_seqs(std::uint64_t count) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -88,17 +107,19 @@ class CalendarQueue {
     return t;
   }
 
+  /// Whether the earliest pending event orders before an outside event
+  /// (time, seq), such as one whose seq reserve_seqs() handed out; callers
+  /// check empty().
+  bool head_before(std::uint64_t time, std::uint64_t seq) const {
+    assert(!empty() && "CalendarQueue::head_before() on empty queue");
+    const Entry& head = head_in_heap() ? heap_.front() : ready_[ready_pos_];
+    return head.time != time ? head.time < time : head.seq < seq;
+  }
+
   /// Pops the earliest event ((time, seq) order); callers check empty().
   std::pair<std::uint64_t, Event> pop() {
     assert(!empty() && "CalendarQueue::pop() on empty queue");
-    const bool from_heap = [&] {
-      if (heap_.empty()) return false;
-      if (ready_pos_ >= ready_.size()) return true;
-      const Entry& h = heap_.front();
-      const Entry& r = ready_[ready_pos_];
-      return h.time != r.time ? h.time < r.time : h.seq < r.seq;
-    }();
-    Entry entry = from_heap ? pop_heap_entry() : std::move(ready_[ready_pos_++]);
+    Entry entry = head_in_heap() ? pop_heap_entry() : std::move(ready_[ready_pos_++]);
     --size_;
     // Keep the drain cursor monotone so later schedules classify against
     // the true simulation clock even through heap-only stretches.
@@ -137,6 +158,15 @@ class CalendarQueue {
   }
 
   std::uint64_t slot_of(std::uint64_t time) const { return time / width_; }
+
+  /// Whether the overflow heap, rather than the ready lane, holds the
+  /// earliest pending entry. The wheel never does: whenever the lane drains
+  /// with entries left in the wheel, advance() refills it.
+  bool head_in_heap() const {
+    if (heap_.empty()) return false;
+    if (ready_pos_ >= ready_.size()) return true;
+    return heap_after(ready_[ready_pos_], heap_.front());
+  }
 
   /// Files one entry into the ready lane, the wheel, or the overflow heap.
   void place(Entry entry) {

@@ -1,16 +1,20 @@
 // Engine-equivalence tests: the CalendarQueue must pop in exactly the same
 // (time, insertion-seq) order as the binary-heap EventQueue — including
 // same-cycle bursts, far-future overflow, past schedules, and across
-// automatic resizes.
+// automatic resizes — and so must a CalendarQueue merged with an arrival
+// lane (the router's event loop) against a heap fed every arrival up front.
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/packet_source.h"
 
 namespace {
 
@@ -180,6 +184,163 @@ TEST(CalendarQueueTest, ReserveMatchesUnreserved) {
     ASSERT_EQ(a.second, b.second);
   }
   ASSERT_TRUE(reserved.empty());
+}
+
+/// The router's arrival merge against a reference. The reference is one
+/// EventQueue fed everything up front in the router's insertion order:
+/// pre-events, every LC's arrivals LC by LC, post-events. The candidate
+/// schedules the pre- and post-events into a CalendarQueue around a seq
+/// range reserved for the arrivals, which an ArrivalLane streams; each pop
+/// takes the earlier of the two heads by (time, seq). Dynamic schedules go
+/// to both sides in the same order, so their seqs line up too.
+class LaneTandem {
+ public:
+  static constexpr std::uint64_t kArrival = std::uint64_t{1} << 63;
+
+  LaneTandem(const std::vector<std::vector<std::uint64_t>>& per_lc,
+             const std::vector<std::uint64_t>& pre,
+             const std::vector<std::uint64_t>& post) {
+    first_.push_back(0);
+    for (const auto& times : per_lc) {
+      times_.insert(times_.end(), times.begin(), times.end());
+      first_.push_back(times_.size());
+    }
+    for (const std::uint64_t t : pre) schedule(t);
+    for (std::size_t p = 0; p < times_.size(); ++p) {
+      heap_.schedule(times_[p], Payload{kArrival | p});
+    }
+    arrival_seq_ = calendar_.reserve_seqs(times_.size());
+    for (const std::uint64_t t : post) schedule(t);
+    lane_ = sim::ArrivalLane(times_, first_);
+  }
+
+  void schedule(std::uint64_t time) {
+    heap_.schedule(time, Payload{next_id_});
+    calendar_.schedule(time, Payload{next_id_});
+    ++next_id_;
+  }
+
+  void pop_and_check() {
+    ASSERT_FALSE(heap_.empty());
+    const auto [heap_time, heap_event] = heap_.pop();
+    const bool from_lane =
+        !lane_.empty() &&
+        (calendar_.empty() ||
+         !calendar_.head_before(lane_.next_time(), arrival_seq_ + lane_.next_packet()));
+    std::uint64_t time = 0;
+    Payload event{};
+    if (from_lane) {
+      time = lane_.next_time();
+      event = Payload{kArrival | lane_.pop()};
+    } else {
+      ASSERT_FALSE(calendar_.empty());
+      std::tie(time, event) = calendar_.pop();
+    }
+    ASSERT_EQ(heap_time, time);
+    ASSERT_EQ(heap_event, event);
+    now_ = time;
+    if (from_lane) ++lane_pops_;
+  }
+
+  void drain_and_check() {
+    while (!heap_.empty() && !::testing::Test::HasFatalFailure()) pop_and_check();
+    EXPECT_TRUE(calendar_.empty());
+    EXPECT_TRUE(lane_.empty());
+    EXPECT_EQ(lane_pops_, times_.size());
+  }
+
+  bool empty() const { return heap_.empty(); }
+  std::uint64_t now() const { return now_; }
+  const std::vector<std::uint64_t>& arrival_times() const { return times_; }
+
+ private:
+  Heap heap_;
+  Calendar calendar_;
+  sim::ArrivalLane lane_;
+  std::vector<std::uint64_t> times_;
+  std::vector<std::size_t> first_;
+  std::uint64_t arrival_seq_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t now_ = 0;
+  std::size_t lane_pops_ = 0;
+};
+
+/// Per-LC arrival times at 40 Gbps; LCs listed in `empty` get none.
+std::vector<std::vector<std::uint64_t>> lanes(int psi, std::size_t packets,
+                                              std::uint64_t seed,
+                                              const std::vector<int>& empty) {
+  std::vector<std::vector<std::uint64_t>> per_lc;
+  for (int lc = 0; lc < psi; ++lc) {
+    const bool none = std::find(empty.begin(), empty.end(), lc) != empty.end();
+    per_lc.push_back(sim::generate_arrival_times(
+        40.0, none ? 0 : packets, seed ^ static_cast<std::uint64_t>(lc)));
+  }
+  return per_lc;
+}
+
+TEST(ArrivalLaneTest, LaneAloneYieldsTheUpfrontOrder) {
+  // No calendar events at all: the lane's (time, packet) order is the
+  // heap's (time, seq) order over the arrivals.
+  LaneTandem tandem(lanes(16, 2'000, 5, {}), {}, {});
+  tandem.drain_and_check();
+}
+
+TEST(ArrivalLaneTest, MergeMatchesUpfrontQueueUnderRandomTapes) {
+  struct Shape {
+    int psi;
+    std::vector<int> empty;  ///< LCs with no arrivals
+  };
+  const Shape shapes[] = {{1, {}}, {4, {1}}, {16, {0, 15}}, {16, {}}, {3, {0, 1, 2}}};
+  for (const Shape& shape : shapes) {
+    for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+      SCOPED_TRACE(testing::Message() << "psi " << shape.psi << " seed " << seed);
+      const auto per_lc = lanes(shape.psi, 600, seed, shape.empty);
+      std::mt19937_64 rng(seed);
+      // Pre- and post-events on arrival cycles (they tie with an arrival and
+      // must pop before / after it) plus a few anywhere in the horizon.
+      std::vector<std::uint64_t> pre, post;
+      for (const auto& times : per_lc) {
+        if (times.empty()) continue;
+        pre.push_back(times.front());
+        post.push_back(times.front());
+        post.push_back(times[times.size() / 2]);
+        pre.push_back(times.back());
+        pre.push_back(rng() % (times.back() + 1));
+        post.push_back(rng() % (times.back() + 1));
+      }
+      LaneTandem tandem(per_lc, pre, post);
+      const auto& arrivals = tandem.arrival_times();
+      int budget = 12'000;  // dynamic schedules; the tape then drains
+      while (!tandem.empty() && !HasFatalFailure()) {
+        tandem.pop_and_check();
+        const std::uint64_t now = tandem.now();
+        const std::uint64_t kind = rng() % 10;
+        if (budget <= 0 || kind >= 7) continue;
+        if (kind < 3) {
+          // Near future: often below the calendar's cursor, which can run
+          // ahead of the next arrival.
+          tandem.schedule(now + rng() % 64);
+          budget -= 1;
+        } else if (kind == 3) {
+          for (int i = 0; i < 3; ++i) tandem.schedule(now);  // same-cycle burst
+          budget -= 3;
+        } else if (kind == 4 && !arrivals.empty()) {
+          // A burst on some arrival's cycle (or now, if that one is past).
+          const std::uint64_t at =
+              std::max(now, arrivals[static_cast<std::size_t>(rng() % arrivals.size())]);
+          for (int i = 0; i < 3; ++i) tandem.schedule(at);
+          budget -= 3;
+        } else if (kind == 5) {
+          tandem.schedule(now + 1'000'000 + rng() % 4096);  // far future
+          budget -= 1;
+        } else {
+          tandem.schedule(now - std::min<std::uint64_t>(now, rng() % 8));  // past
+          budget -= 1;
+        }
+      }
+      tandem.drain_and_check();
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "net/table_gen.h"
@@ -183,6 +184,17 @@ TEST(RouterSim, RejectsBadArguments) {
                std::invalid_argument);
   RouterSim router(small_table(), small_config(4));
   EXPECT_THROW(router.run({{}, {}}, false), std::invalid_argument);  // 2 != 4
+}
+
+TEST(RouterSim, RejectsLineRatesWithoutArrivalBounds) {
+  // Rejected at construction, beside the other config checks, rather than
+  // at the first run's arrival generation.
+  for (const double rate : {std::nan(""), 0.0, 1e-12}) {
+    RouterConfig config = small_config(4);
+    config.line_rate_gbps = rate;
+    EXPECT_THROW(RouterSim(small_table(), config), std::invalid_argument)
+        << rate;
+  }
 }
 
 TEST(RouterSim, ConventionalMeanIsAtLeastServiceTime) {

@@ -111,6 +111,24 @@ TEST(RouterStress, EmptyStreamsAreFine) {
   EXPECT_EQ(result.latency.count(), 0u);
 }
 
+TEST(RouterStress, OneEmptyStreamAmongBusyOnes) {
+  // LC 2 receives no packets but still homes a fragment: the others' misses
+  // reach it over the fabric while no arrival of its own ever fires.
+  core::RouterConfig config = base_config(4);
+  const net::RouteTable table = stress_table();
+  core::RouterSim router(table, config);
+  const trace::TraceGenerator generator(bursty_profile(), table);
+  std::vector<std::vector<net::Ipv4Addr>> streams(4);
+  for (const int lc : {0, 1, 3}) {
+    streams[static_cast<std::size_t>(lc)] = generator.generate(lc, 3'000);
+  }
+  const auto result = router.run(streams, true);
+  EXPECT_EQ(result.resolved_packets, 3u * 3'000u);
+  EXPECT_EQ(result.verify_mismatches, 0u);
+  EXPECT_EQ(result.per_lc_latency[2].count(), 0u);
+  EXPECT_GT(result.per_lc[2].fe_lookups, 0u);
+}
+
 TEST(RouterStress, SinglePacketPerLc) {
   core::RouterConfig config = base_config(2);
   core::RouterSim router(stress_table(), config);

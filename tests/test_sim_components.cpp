@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/engine.h"
 #include "sim/metrics.h"
 #include "sim/packet_source.h"
@@ -123,6 +126,20 @@ TEST(PacketSource, PaperBoundsAt10G) {
 TEST(PacketSource, RejectsNonPositiveRate) {
   EXPECT_THROW(sim::arrival_bounds(0.0), std::invalid_argument);
   EXPECT_THROW(sim::arrival_bounds(-1.0), std::invalid_argument);
+}
+
+TEST(PacketSource, RejectsRatesWhoseGapsDoNotFitAnInt) {
+  // A non-finite rate, or one so low that 1.8x its mean gap exceeds
+  // INT_MAX, has no int bounds (the casts would overflow).
+  EXPECT_THROW(sim::arrival_bounds(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(sim::arrival_bounds(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim::arrival_bounds(1e-12), std::invalid_argument);
+  EXPECT_THROW(sim::arrival_bounds(1e-7), std::invalid_argument);
+  // 1e-6 Gbps: a 409.6M-cycle mean gap, scaled by 0.2 and 1.8.
+  const auto bounds = sim::arrival_bounds(1e-6);
+  EXPECT_EQ(bounds.min_cycles, 81'920'000);
+  EXPECT_EQ(bounds.max_cycles, 737'280'000);
 }
 
 TEST(PacketSource, ArrivalsAreMonotoneWithBoundedGaps) {
