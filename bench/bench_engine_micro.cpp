@@ -5,6 +5,8 @@
 //
 //   {"bench":"engine_micro","events":N,"results":[
 //     {"engine":"heap","pattern":"hold","ns_per_event":31.2,"checksum":...},
+//     ...,
+//     {"engine":"calendar","pattern":"streamed_arrivals","psi":16,...},
 //     ...]}
 //
 // Patterns:
@@ -13,12 +15,16 @@
 //   same_cycle      bursty: each pop pushes a batch at one shared future
 //                   cycle (waiting-list release storms)
 //   streamed_arrivals
-//                   the router's loop: ψ = 16 arrival lanes at 40 Gbps
-//                   merged with a hold-model in-flight population of 128
-//                   events (1-64 cycles out) that runs while arrivals
-//                   remain. The calendar streams the arrivals from an
-//                   ArrivalLane over a reserved seq range; the heap is fed
-//                   every arrival up front, which pops the same order.
+//                   the router's loop: ψ arrival lanes at 40 Gbps merged
+//                   with a hold-model in-flight population of 8 events per
+//                   lane (1-64 cycles out) that runs while arrivals remain,
+//                   at the e2e workloads' ψ = 4 and ψ = 16 (the rows carry
+//                   "psi"). Per lane, ψ = 4 spans 4x the cycles of ψ = 16,
+//                   so the same total arrivals meet about the same number
+//                   of in-flight events at both. The calendar streams the
+//                   arrivals from an ArrivalLane over a reserved seq range;
+//                   the heap is fed every arrival up front, which pops the
+//                   same order.
 //   far_future      bimodal: 1/8 of pushes land ~1M cycles out (overflow
 //                   heap path)
 //
@@ -116,19 +122,19 @@ Replay replay(Queue& queue, const std::vector<Op>& tape) {
   return out;
 }
 
-/// The streamed_arrivals pattern's input: `arrivals` packets over 16 lanes
-/// at 40 Gbps, LC-major, with each lane's first packet id.
+/// The streamed_arrivals pattern's input: `arrivals` packets over `psi`
+/// lanes at 40 Gbps, LC-major, with each lane's first packet id.
 struct Lanes {
   std::vector<std::uint64_t> times;
   std::vector<std::size_t> first{0};
 };
 
-Lanes make_lanes(std::size_t arrivals) {
-  constexpr int kLanes = 16;
+Lanes make_lanes(std::size_t arrivals, int psi) {
   Lanes lanes;
-  for (int lc = 0; lc < kLanes; ++lc) {
+  for (int lc = 0; lc < psi; ++lc) {
     const auto times = sim::generate_arrival_times(
-        40.0, arrivals / kLanes, 42 ^ static_cast<std::uint64_t>(lc));
+        40.0, arrivals / static_cast<std::size_t>(psi),
+        42 ^ static_cast<std::uint64_t>(lc));
     lanes.times.insert(lanes.times.end(), times.begin(), times.end());
     lanes.first.push_back(lanes.times.size());
   }
@@ -145,7 +151,8 @@ Replay replay_streamed(Queue& queue, const std::vector<Op>& tape,
   const std::vector<std::uint64_t>& times = lanes.times;
   std::uint64_t id = 0;
   std::mt19937_64 rng(7);
-  for (int i = 0; i < 128; ++i) {
+  const std::size_t in_flight = 8 * (lanes.first.size() - 1);
+  for (std::size_t i = 0; i < in_flight; ++i) {
     queue.schedule(rng() % 64, Payload{id, id});
     ++id;
   }
@@ -173,7 +180,7 @@ Replay replay_streamed(Queue& queue, const std::vector<Op>& tape,
            !queue.head_before(lane.next_time(), arrival_seq + lane.next_packet()));
       if (from_lane) {
         now = lane.next_time();
-        const std::size_t p = lane.pop();
+        const std::size_t p = lane.pop().packet;
         payload = Payload{kArrival | p, p};
       } else if (!queue.empty()) {
         std::tie(now, payload) = queue.pop();
@@ -202,11 +209,12 @@ struct Measurement {
   std::uint64_t checksum;
 };
 
+/// `psi` is the streamed_arrivals lane count; the other patterns have none.
 template <typename Queue>
-Measurement measure(const char* pattern, std::size_t events) {
+Measurement measure(const char* pattern, int psi, std::size_t events) {
   const std::vector<Op> tape = make_tape(pattern, events, /*seed=*/42);
-  const bool streamed = std::strcmp(pattern, "streamed_arrivals") == 0;
-  const Lanes lanes = streamed ? make_lanes(events) : Lanes{};
+  const bool streamed = psi != 0;
+  const Lanes lanes = streamed ? make_lanes(events, psi) : Lanes{};
   Queue queue;
   const auto start = std::chrono::steady_clock::now();
   const Replay run = streamed ? replay_streamed(queue, tape, lanes)
@@ -226,24 +234,34 @@ int main(int argc, char** argv) {
       events = static_cast<std::size_t>(std::atoll(argv[i] + 9));
     }
   }
-  const char* patterns[] = {"hold", "same_cycle", "streamed_arrivals", "far_future"};
+  struct Run {
+    const char* pattern;
+    int psi;  ///< arrival lanes; 0 for the patterns without any
+  };
+  const Run runs[] = {{"hold", 0},
+                      {"same_cycle", 0},
+                      {"streamed_arrivals", 4},
+                      {"streamed_arrivals", 16},
+                      {"far_future", 0}};
   std::printf("{\"bench\":\"engine_micro\",\"events\":%zu,\"results\":[", events);
   bool first = true;
   int mismatches = 0;
-  for (const char* pattern : patterns) {
+  for (const auto& [pattern, psi] : runs) {
     const Measurement heap =
-        measure<sim::EventQueue<Payload>>(pattern, events);
+        measure<sim::EventQueue<Payload>>(pattern, psi, events);
     const Measurement calendar =
-        measure<sim::CalendarQueue<Payload>>(pattern, events);
+        measure<sim::CalendarQueue<Payload>>(pattern, psi, events);
     if (heap.checksum != calendar.checksum) ++mismatches;
-    std::printf("%s{\"engine\":\"heap\",\"pattern\":\"%s\",\"ns_per_event\":%.2f,"
+    const std::string lanes =
+        psi != 0 ? ",\"psi\":" + std::to_string(psi) : std::string();
+    std::printf("%s{\"engine\":\"heap\",\"pattern\":\"%s\"%s,\"ns_per_event\":%.2f,"
                 "\"events_processed\":%llu,\"checksum\":%llu}",
-                first ? "" : ",", pattern, heap.ns_per_event,
+                first ? "" : ",", pattern, lanes.c_str(), heap.ns_per_event,
                 static_cast<unsigned long long>(heap.events_processed),
                 static_cast<unsigned long long>(heap.checksum));
-    std::printf(",{\"engine\":\"calendar\",\"pattern\":\"%s\",\"ns_per_event\":%.2f,"
+    std::printf(",{\"engine\":\"calendar\",\"pattern\":\"%s\"%s,\"ns_per_event\":%.2f,"
                 "\"events_processed\":%llu,\"checksum\":%llu,\"speedup\":%.2f}",
-                pattern, calendar.ns_per_event,
+                pattern, lanes.c_str(), calendar.ns_per_event,
                 static_cast<unsigned long long>(calendar.events_processed),
                 static_cast<unsigned long long>(calendar.checksum),
                 heap.ns_per_event / calendar.ns_per_event);

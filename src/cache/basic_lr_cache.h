@@ -136,6 +136,7 @@ class BasicLrCache {
     }
     blocks_.resize(config.blocks);
     victim_.resize(config.victim_blocks);
+    candidates_.reserve(std::max(config.associativity, config.victim_blocks));
   }
 
   /// Looks `addr` up in its set and the victim cache simultaneously.
@@ -383,7 +384,7 @@ class BasicLrCache {
     return nullptr;
   }
 
-  std::size_t pick_by_policy(std::vector<std::size_t>& candidates,
+  std::size_t pick_by_policy(const std::vector<std::size_t>& candidates,
                              const std::vector<Block>& pool, Replacement policy) {
     switch (policy) {
       case Replacement::kLru:
@@ -414,20 +415,21 @@ class BasicLrCache {
       return nullptr;
     }
     const std::size_t base = set * config_.associativity;
-    // Same-origin blocks count against the γ quota (waiting ones included).
-    std::vector<std::size_t> same_origin;  // evictable (non-waiting) only
+    // Same-origin blocks count against the γ quota (waiting ones included);
+    // the evictable (non-waiting) ones are the candidates.
+    candidates_.clear();
     std::size_t same_origin_valid = 0;
     for (std::size_t i = 0; i < config_.associativity; ++i) {
       const Block& block = blocks_[base + i];
       if (!block.valid || block.origin != origin) continue;
       ++same_origin_valid;
-      if (!block.waiting) same_origin.push_back(base + i);
+      if (!block.waiting) candidates_.push_back(base + i);
     }
     if (same_origin_valid >= ways(origin)) {
       // Quota reached: replace within the origin's own ways.
-      if (same_origin.empty()) return nullptr;  // quota entirely waiting
+      if (candidates_.empty()) return nullptr;  // quota entirely waiting
       Block* block =
-          &blocks_[pick_by_policy(same_origin, blocks_, config_.replacement)];
+          &blocks_[pick_by_policy(candidates_, blocks_, config_.replacement)];
       if (config_.victim_blocks > 0) demote(*block, now);
       return block;
     }
@@ -436,15 +438,15 @@ class BasicLrCache {
       if (!blocks_[base + i].valid) return &blocks_[base + i];
     }
     // ...else the other origin necessarily exceeds its quota; reclaim.
-    std::vector<std::size_t> other;
+    candidates_.clear();
     for (std::size_t i = 0; i < config_.associativity; ++i) {
       const Block& block = blocks_[base + i];
       if (block.valid && block.origin != origin && !block.waiting) {
-        other.push_back(base + i);
+        candidates_.push_back(base + i);
       }
     }
-    if (other.empty()) return nullptr;
-    Block* block = &blocks_[pick_by_policy(other, blocks_, config_.replacement)];
+    if (candidates_.empty()) return nullptr;
+    Block* block = &blocks_[pick_by_policy(candidates_, blocks_, config_.replacement)];
     if (config_.victim_blocks > 0) demote(*block, now);
     return block;
   }
@@ -460,9 +462,10 @@ class BasicLrCache {
         return;
       }
     }
-    std::vector<std::size_t> all(victim_.size());
-    for (std::size_t i = 0; i < victim_.size(); ++i) all[i] = i;
-    const std::size_t slot = pick_by_policy(all, victim_, config_.victim_replacement);
+    candidates_.clear();
+    for (std::size_t i = 0; i < victim_.size(); ++i) candidates_.push_back(i);
+    const std::size_t slot =
+        pick_by_policy(candidates_, victim_, config_.victim_replacement);
     overwrite(victim_[slot], block);
     victim_[slot].last_use = now;
     victim_[slot].inserted = now;
@@ -476,6 +479,9 @@ class BasicLrCache {
   /// Valid blocks per lr_cache_filter_key bucket; empty until the first
   /// invalidate_matching() after construction, flush() or reset().
   std::vector<std::uint32_t> filter_;
+  /// Replacement candidates (block or victim-slot indices), refilled by
+  /// each choose_victim() and demote() so neither allocates per call.
+  std::vector<std::size_t> candidates_;
   LrCacheStats stats_;
   std::mt19937_64 rng_;
 };

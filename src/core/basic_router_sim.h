@@ -731,9 +731,12 @@ class BasicRouterSim {
       if (!inflight_.empty() && inflight_.front().raw <= next) {
         commit_front();
       } else if (from_lane) {
-        const std::size_t packet = lane_.pop();
-        const int lc = arrival_lc_[packet];
-        dispatch(next, Event{Event::Type::kLookup, lc, destination(packet),
+        const auto [packet, lc_index] = lane_.pop();
+        const std::vector<Addr>& stream = (*streams_)[lc_index];
+        const std::size_t i = packet - lc_first_packet_[lc_index];
+        sim::read_ahead(stream.data(), i, stream.size());
+        const int lc = static_cast<int>(lc_index);
+        dispatch(next, Event{Event::Type::kLookup, lc, stream[i],
                              Requester{lc, static_cast<std::int64_t>(packet), false},
                              false, net::kNoRoute});
       } else {

@@ -231,7 +231,12 @@ class LaneTandem {
     Payload event{};
     if (from_lane) {
       time = lane_.next_time();
-      event = Payload{kArrival | lane_.pop()};
+      const auto [packet, lc] = lane_.pop();
+      // The yielded LC owns the packet's id range.
+      ASSERT_LT(lc + 1, first_.size());
+      ASSERT_LE(first_[lc], packet);
+      ASSERT_LT(packet, first_[lc + 1]);
+      event = Payload{kArrival | packet};
     } else {
       ASSERT_FALSE(calendar_.empty());
       std::tie(time, event) = calendar_.pop();
@@ -265,15 +270,13 @@ class LaneTandem {
   std::size_t lane_pops_ = 0;
 };
 
-/// Per-LC arrival times at 40 Gbps; LCs listed in `empty` get none.
-std::vector<std::vector<std::uint64_t>> lanes(int psi, std::size_t packets,
-                                              std::uint64_t seed,
-                                              const std::vector<int>& empty) {
+/// Per-LC arrival times at 40 Gbps: `counts[lc]` packets for LC lc (ψ =
+/// counts.size()).
+std::vector<std::vector<std::uint64_t>> lanes(const std::vector<std::size_t>& counts,
+                                              std::uint64_t seed) {
   std::vector<std::vector<std::uint64_t>> per_lc;
-  for (int lc = 0; lc < psi; ++lc) {
-    const bool none = std::find(empty.begin(), empty.end(), lc) != empty.end();
-    per_lc.push_back(sim::generate_arrival_times(
-        40.0, none ? 0 : packets, seed ^ static_cast<std::uint64_t>(lc)));
+  for (std::size_t lc = 0; lc < counts.size(); ++lc) {
+    per_lc.push_back(sim::generate_arrival_times(40.0, counts[lc], seed ^ lc));
   }
   return per_lc;
 }
@@ -281,20 +284,31 @@ std::vector<std::vector<std::uint64_t>> lanes(int psi, std::size_t packets,
 TEST(ArrivalLaneTest, LaneAloneYieldsTheUpfrontOrder) {
   // No calendar events at all: the lane's (time, packet) order is the
   // heap's (time, seq) order over the arrivals.
-  LaneTandem tandem(lanes(16, 2'000, 5, {}), {}, {});
+  LaneTandem tandem(lanes(std::vector<std::size_t>(16, 2'000), 5), {}, {});
   tandem.drain_and_check();
 }
 
 TEST(ArrivalLaneTest, MergeMatchesUpfrontQueueUnderRandomTapes) {
-  struct Shape {
-    int psi;
-    std::vector<int> empty;  ///< LCs with no arrivals
+  // Packets per LC (ψ = size): empty LCs at the ends and between busy
+  // ones, ψ that are not powers of two (3, 5, 6, 7: the tree's leaves sit
+  // at two depths), and counts that differ, so LCs run dry at different
+  // times.
+  std::vector<std::size_t> sixteen_but_ends(16, 600);
+  sixteen_but_ends.front() = sixteen_but_ends.back() = 0;
+  const std::vector<std::size_t> shapes[] = {
+      {600},
+      {600, 0, 600, 600},
+      sixteen_but_ends,
+      std::vector<std::size_t>(16, 600),
+      {0, 0, 0},
+      {600, 600, 600, 600, 600},
+      {600, 37, 900, 250, 1, 1'200, 480},
+      {600, 300, 0, 900, 5, 600},
   };
-  const Shape shapes[] = {{1, {}}, {4, {1}}, {16, {0, 15}}, {16, {}}, {3, {0, 1, 2}}};
-  for (const Shape& shape : shapes) {
+  for (const std::vector<std::size_t>& shape : shapes) {
     for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
-      SCOPED_TRACE(testing::Message() << "psi " << shape.psi << " seed " << seed);
-      const auto per_lc = lanes(shape.psi, 600, seed, shape.empty);
+      SCOPED_TRACE(testing::Message() << "psi " << shape.size() << " seed " << seed);
+      const auto per_lc = lanes(shape, seed);
       std::mt19937_64 rng(seed);
       // Pre- and post-events on arrival cycles (they tie with an arrival and
       // must pop before / after it) plus a few anywhere in the horizon.

@@ -101,6 +101,13 @@ TEST(RouterStress, OverloadRateStillCorrect) {
   const auto result = router.run_workload(bursty_profile(), true);
   EXPECT_EQ(result.verify_mismatches, 0u);
   EXPECT_EQ(result.resolved_packets, 4u * 3'000u);
+  // The same streams at 40 Gbps: the 160 Gbps run must really be the
+  // heavier load, with a higher mean lookup latency.
+  config.line_rate_gbps = 40.0;
+  core::RouterSim nominal(stress_table(), config);
+  const auto baseline = nominal.run_workload(bursty_profile(), true);
+  EXPECT_EQ(baseline.verify_mismatches, 0u);
+  EXPECT_GT(result.latency.mean_cycles(), baseline.latency.mean_cycles());
 }
 
 TEST(RouterStress, EmptyStreamsAreFine) {

@@ -123,6 +123,24 @@ TEST(PacketSource, PaperBoundsAt10G) {
   EXPECT_EQ(bounds.max_cycles, 74);
 }
 
+TEST(PacketSource, ScalesEveryOtherRate) {
+  // Only exactly 10 Gbps keeps the paper's pair; every other rate takes
+  // uniform[0.2, 1.8] x the mean gap, so a rate above 40 Gbps or inside
+  // (10, 11) is honoured rather than clamped to a paper pair.
+  struct Case {
+    double gbps;
+    int min_cycles;
+    int max_cycles;
+  };
+  const Case cases[] = {{39.9, 2, 18}, {40.5, 2, 18}, {45.0, 1, 16},
+                        {160.0, 1, 4}, {1e6, 1, 2},   {10.5, 7, 70}};
+  for (const Case& c : cases) {
+    const auto bounds = sim::arrival_bounds(c.gbps);
+    EXPECT_EQ(bounds.min_cycles, c.min_cycles) << c.gbps;
+    EXPECT_EQ(bounds.max_cycles, c.max_cycles) << c.gbps;
+  }
+}
+
 TEST(PacketSource, RejectsNonPositiveRate) {
   EXPECT_THROW(sim::arrival_bounds(0.0), std::invalid_argument);
   EXPECT_THROW(sim::arrival_bounds(-1.0), std::invalid_argument);
