@@ -84,6 +84,12 @@ class BasicRouterSim {
     // Throws for a rate that is not finite and positive or whose arrival
     // gaps overflow an int, before any run generates arrivals from it.
     (void)sim::arrival_bounds(config.line_rate_gbps);
+    // Throws for an update mix the stream generator cannot draw as given,
+    // before any run generates a stream from it.
+    if (config.update.interval_cycles != 0) {
+      net::check_update_mix(config.update.announce_fraction,
+                            config.update.withdraw_fraction);
+    }
     if (config.migration.enabled) {
       if (!config.partition || config.num_lcs < 2) {
         throw std::invalid_argument(
@@ -166,7 +172,6 @@ class BasicRouterSim {
     }
     const std::size_t total_packets = lc_first_packet_.back();
     arrival_time_.resize(total_packets);
-    arrival_lc_.resize(total_packets);
     resolved_.assign(total_packets, 0);
     std::uint64_t arrival_horizon = 0;
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
@@ -176,7 +181,6 @@ class BasicRouterSim {
           config_.line_rate_gbps,
           config_.seed ^ (0xabcdef12345ULL + static_cast<std::uint64_t>(lc)),
           std::span(arrival_time_).subspan(first, count));
-      std::fill_n(arrival_lc_.begin() + static_cast<std::ptrdiff_t>(first), count, lc);
       if (count != 0) {
         arrival_horizon = std::max(arrival_horizon, arrival_time_[first + count - 1]);
       }
@@ -366,10 +370,13 @@ class BasicRouterSim {
       window_frag_counts_.assign(
           rebalance_windows,
           std::vector<std::uint64_t>(static_cast<std::size_t>(config_.num_lcs), 0));
-      for (std::size_t p = 0; p < total_packets; ++p) {
-        const std::size_t w = static_cast<std::size_t>(arrival_time_[p] / win);
-        const int frag = rot_->home_of(destination(p));
-        ++window_frag_counts_[w][static_cast<std::size_t>(frag)];
+      for (std::size_t lc = 0; lc < streams.size(); ++lc) {
+        const std::size_t first = lc_first_packet_[lc];
+        for (std::size_t i = 0; i < streams[lc].size(); ++i) {
+          const auto w = static_cast<std::size_t>(arrival_time_[first + i] / win);
+          const int frag = rot_->home_of(streams[lc][i]);
+          ++window_frag_counts_[w][static_cast<std::size_t>(frag)];
+        }
       }
       // Finite tick schedule (one per window, management plane at LC 0):
       // a self-rescheduling tick would never let the event queue drain.
@@ -746,10 +753,11 @@ class BasicRouterSim {
     }
   }
 
-  /// Packet `packet`'s destination, read from the run's streams.
-  const Addr& destination(std::size_t packet) const {
-    const auto lc = static_cast<std::size_t>(arrival_lc_[packet]);
-    return (*streams_)[lc][packet - lc_first_packet_[lc]];
+  /// The destination of packet `packet`, which arrived at `lc`, read from
+  /// the run's streams.
+  const Addr& destination(int lc, std::size_t packet) const {
+    const auto lc_index = static_cast<std::size_t>(lc);
+    return (*streams_)[lc_index][packet - lc_first_packet_[lc_index]];
   }
 
   void dispatch(std::uint64_t now, const Event& event) {
@@ -1047,13 +1055,13 @@ class BasicRouterSim {
     for (const Requester& r : take_waiters(lc, addr)) {
       deliver_result(now, lc, addr, event.hop, r);
     }
-    resolve_packet(now, event.requester.packet, event.hop);
+    resolve_packet(now, event.requester, event.hop);
   }
 
   void deliver_result(std::uint64_t now, int lc, const Addr& addr,
                       net::NextHop hop, const Requester& requester) {
     if (requester.lc == lc) {
-      resolve_packet(now, requester.packet, hop);
+      resolve_packet(now, requester, hop);
       return;
     }
     ++result_.remote_replies;
@@ -1069,30 +1077,31 @@ class BasicRouterSim {
     send_reliable(lc, now, reply);
   }
 
-  /// Marks a packet resolved; false when it already was (waiting-list
-  /// drains and the degraded path can race the same packet).
-  bool resolve_packet(std::uint64_t now, std::int64_t packet, net::NextHop hop) {
-    const auto index = static_cast<std::size_t>(packet);
+  /// Marks the requester's packet resolved; false when it already was
+  /// (waiting-list drains and the degraded path can race the same packet).
+  bool resolve_packet(std::uint64_t now, const Requester& requester,
+                      net::NextHop hop) {
+    const auto index = static_cast<std::size_t>(requester.packet);
     if (resolved_[index]) return false;
     resolved_[index] = 1;
     ++result_.resolved_packets;
     const std::uint64_t cycles = now - arrival_time_[index];
-    result_.per_lc_latency[static_cast<std::size_t>(arrival_lc_[index])]
-        .record(cycles);
+    const auto lc = static_cast<std::size_t>(requester.lc);
+    result_.per_lc_latency[lc].record(cycles);
     if (track_outage_ && arrived_in_outage(arrival_time_[index]) &&
-        !config_.fault.port_down(arrival_lc_[index], arrival_time_[index])) {
+        !config_.fault.port_down(requester.lc, arrival_time_[index])) {
       // Packets arriving at a surviving LC while some port is down: the
       // population failover protects. Arrivals at the dead LC itself are
       // excluded — with its own fabric port down, every remote-homed packet
       // there is doomed to the retry/degraded path regardless of how many
       // replicas the rest of the fabric holds (degraded_lookups counts
       // them).
-      per_lc_outage_latency_[static_cast<std::size_t>(arrival_lc_[index])]
-          .record(cycles);
+      per_lc_outage_latency_[lc].record(cycles);
     }
     if (verify_) {
-      const net::NextHop expected = oracle_->lookup(destination(index));
-      if (expected != hop && !update_excuses(index, now)) {
+      const net::NextHop expected =
+          oracle_->lookup(destination(requester.lc, index));
+      if (expected != hop && !update_excuses(requester.lc, index, now)) {
         ++result_.verify_mismatches;
       }
     }
@@ -1105,9 +1114,10 @@ class BasicRouterSim {
   /// [arrival, resolve]. Packets arriving after an update fully settled
   /// (every apply and invalidation delivered) get no excuse from it: that
   /// is the staleness property the update tests assert.
-  bool update_excuses(std::size_t packet_index, std::uint64_t resolve_time) const {
+  bool update_excuses(int lc, std::size_t packet_index,
+                      std::uint64_t resolve_time) const {
     if (updates_.empty()) return false;
-    const Addr& dst = destination(packet_index);
+    const Addr& dst = destination(lc, packet_index);
     const std::uint64_t arrival = arrival_time_[packet_index];
     for (std::size_t i = 0; i < updates_.size(); ++i) {
       if (update_inject_time_[i] > resolve_time) break;  // stream is time-ordered
@@ -1249,7 +1259,7 @@ class BasicRouterSim {
   }
 
   void handle_degraded(std::uint64_t now, const Event& event) {
-    if (resolve_packet(now, event.requester.packet, event.hop)) {
+    if (resolve_packet(now, event.requester, event.hop)) {
       ++result_.fault.degraded_lookups;
     }
   }
@@ -2133,7 +2143,6 @@ class BasicRouterSim {
   std::uint64_t timeout_base_ = 0;
   std::vector<std::uint64_t> waiting_depth_;  // per LC, currently parked
   std::vector<std::uint64_t> arrival_time_;          // per packet
-  std::vector<int> arrival_lc_;                      // per packet
   std::vector<std::uint8_t> resolved_;               // per packet
   const std::vector<std::vector<Addr>>* streams_ = nullptr;  // during run()
   std::vector<std::size_t> lc_first_packet_;  // per LC + 1: first packet id

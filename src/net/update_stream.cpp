@@ -1,6 +1,9 @@
 #include "net/update_stream.h"
 
+#include <cmath>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <type_traits>
 
 #include "net/table_gen.h"
@@ -31,11 +34,25 @@ Ipv6Addr announce_address(V6, std::mt19937_64& rng) {
 
 }  // namespace
 
+void check_update_mix(double announce_fraction, double withdraw_fraction) {
+  for (const double fraction : {announce_fraction, withdraw_fraction}) {
+    if (!std::isfinite(fraction) || fraction < 0.0) {
+      throw std::invalid_argument(
+          "update mix: fractions must be finite and non-negative");
+    }
+  }
+  if (announce_fraction + withdraw_fraction > 1.0) {
+    throw std::invalid_argument(
+        "update mix: announce + withdraw fractions exceed 1");
+  }
+}
+
 template <typename Addr>
 std::vector<BasicTableUpdate<Addr>> generate_update_stream(
     const BasicRouteTable<Addr>& initial, const UpdateStreamConfig& config) {
   using Prefix = BasicPrefix<Addr>;
   using Update = BasicTableUpdate<Addr>;
+  check_update_mix(config.announce_fraction, config.withdraw_fraction);
   constexpr std::type_identity<Addr> family{};
   std::mt19937_64 rng(config.seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -49,7 +66,15 @@ std::vector<BasicTableUpdate<Addr>> generate_update_stream(
   live.reserve(initial.size() + config.count);
   for (const auto& e : initial.entries()) live.push_back(e.prefix);
 
-  BasicRouteTable<Addr> working = initial;  // for announce-uniqueness checks
+  // Membership in the evolving table: the sorted initial table, less the
+  // initial prefixes the stream withdrew, plus the new prefixes it
+  // announced. Both corrections stay as small as the stream.
+  std::set<Prefix> withdrawn_initial;
+  std::set<Prefix> announced_new;
+  const auto in_table = [&](const Prefix& prefix) {
+    return initial.find(prefix).has_value() ? !withdrawn_initial.contains(prefix)
+                                            : announced_new.contains(prefix);
+  };
   std::vector<Update> updates;
   updates.reserve(config.count);
   while (updates.size() < config.count) {
@@ -59,10 +84,10 @@ std::vector<BasicTableUpdate<Addr>> generate_update_stream(
       for (int attempt = 0; attempt < 16; ++attempt) {
         const int length = std::max(min_announce_length(family), length_dist(rng));
         const Prefix prefix(announce_address(family, rng), length);
-        if (working.find(prefix).has_value()) continue;
+        if (in_table(prefix)) continue;
         const NextHop hop = hop_dist(rng);
         updates.push_back(Update{UpdateKind::kAnnounce, prefix, hop});
-        working.add(prefix, hop);
+        if (withdrawn_initial.erase(prefix) == 0) announced_new.insert(prefix);
         live.push_back(prefix);
         break;
       }
@@ -72,7 +97,7 @@ std::vector<BasicTableUpdate<Addr>> generate_update_stream(
           std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
       const Prefix prefix = live[index];
       updates.push_back(Update{UpdateKind::kWithdraw, prefix, kNoRoute});
-      working.remove(prefix);
+      if (announced_new.erase(prefix) == 0) withdrawn_initial.insert(prefix);
       live[index] = live.back();
       live.pop_back();
     } else {
@@ -81,7 +106,6 @@ std::vector<BasicTableUpdate<Addr>> generate_update_stream(
           live[std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng)];
       const NextHop hop = hop_dist(rng);
       updates.push_back(Update{UpdateKind::kHopChange, prefix, hop});
-      working.add(prefix, hop);
     }
   }
   return updates;

@@ -45,9 +45,14 @@ struct UpdateStreamConfig {
   std::uint32_t next_hops = 16;
 };
 
+/// Throws std::invalid_argument unless both fractions are finite and
+/// non-negative and sum to at most 1: a mix the generator can draw as given.
+void check_update_mix(double announce_fraction, double withdraw_fraction);
+
 /// Generates `config.count` updates that are valid when applied in order
 /// starting from `initial` (withdrawals always name a live prefix,
-/// announcements a genuinely new one). Deterministic per seed.
+/// announcements a genuinely new one). Deterministic per seed. Throws
+/// std::invalid_argument for a mix check_update_mix() rejects.
 /// Announcements follow the family's table generator: its length weights
 /// (so the table's shape holds as it evolves), at least /8 on IPv4 and /16
 /// on IPv6, anywhere on IPv4 and inside 2000::/3 on IPv6.

@@ -112,26 +112,34 @@ void expect_filter_agrees_with_scan(const LrCacheConfig& config,
   }
 }
 
-/// Runs the differential over every γ ∈ {0, 0.5, 1}, victim cache of 0 and
-/// 8 blocks, and LRU / FIFO / random replacement, on 16 sets of 4 ways: a
-/// pool of about two hundred addresses keeps evicting, demoting and
-/// re-hitting.
+/// Runs the differential over every γ ∈ {0, 0.5, 1}, three geometries, and
+/// LRU / FIFO / random replacement: a pool of about two hundred addresses
+/// keeps evicting, demoting and re-hitting. The geometries give
+/// invalidate_matching()'s tag scan 64 slots (16 sets of 4 ways, no victim
+/// cache: whole chunks), 72 (the same plus 8 victim slots: whole chunks and
+/// a tail) and 11 (2 sets of 4 ways plus 3 victim slots: a tail only).
 template <typename Addr, typename MakePrefix>
 void expect_filter_agrees_with_scan_everywhere(const std::vector<Addr>& pool,
                                                MakePrefix make_prefix) {
+  struct Geometry {
+    std::size_t blocks;
+    std::size_t victims;
+  };
   std::uint64_t seed = 1;
   for (const double gamma : {0.0, 0.5, 1.0}) {
-    for (const std::size_t victims : {std::size_t{0}, std::size_t{8}}) {
+    for (const Geometry geometry :
+         {Geometry{64, 0}, Geometry{64, 8}, Geometry{8, 3}}) {
       for (const Replacement policy :
            {Replacement::kLru, Replacement::kFifo, Replacement::kRandom}) {
         SCOPED_TRACE(::testing::Message()
-                     << "gamma=" << gamma << " victims=" << victims
+                     << "gamma=" << gamma << " blocks=" << geometry.blocks
+                     << " victims=" << geometry.victims
                      << " policy=" << static_cast<int>(policy));
         LrCacheConfig config;
-        config.blocks = 64;
+        config.blocks = geometry.blocks;
         config.associativity = 4;
         config.remote_fraction = gamma;
-        config.victim_blocks = victims;
+        config.victim_blocks = geometry.victims;
         config.replacement = policy;
         config.victim_replacement = policy;
         expect_filter_agrees_with_scan(config, pool, make_prefix, seed++);

@@ -5,7 +5,10 @@
 // whose FEs were mutated in place by a previous run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <stdexcept>
+#include <utility>
 
 #include "core/router_sim.h"
 #include "core/router_sim6.h"
@@ -269,6 +272,25 @@ TEST(RouterUpdates, EpochRebuiltFesHoldTheFinalTableAfterTheRun) {
     dp.host_fe_lookup(lc, lc_keys.data(), lc_keys.size(), want.data(), 1);
     lulea.host_fe_lookup(lc, lc_keys.data(), lc_keys.size(), got.data(), 1);
     EXPECT_EQ(got, want);
+  }
+}
+
+// A mix the stream generator cannot draw as given fails at construction,
+// beside the router's other config checks. With the pipeline off the mix is
+// never read and is not checked.
+TEST(RouterUpdates, RejectsAnUpdateMixItCannotDraw) {
+  const net::RouteTable table = v4_table();
+  for (const auto& [announce, withdraw] :
+       {std::pair{0.8, 0.5}, std::pair{-0.1, 0.2}, std::pair{std::nan(""), 0.0}}) {
+    RouterConfig config =
+        churn_config(4, RouterConfig::UpdatePolicy::kSelectiveInvalidate,
+                     trie::TrieKind::kDp);
+    config.update.announce_fraction = announce;
+    config.update.withdraw_fraction = withdraw;
+    EXPECT_THROW(RouterSim(table, config), std::invalid_argument)
+        << announce << "/" << withdraw;
+    config.update.interval_cycles = 0;
+    EXPECT_NO_THROW(RouterSim(table, config)) << announce << "/" << withdraw;
   }
 }
 

@@ -4,6 +4,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
@@ -16,11 +21,48 @@ using net::TableUpdate;
 using net::UpdateKind;
 using net::UpdateStreamConfig;
 
-RouteTable base_table() {
+RouteTable base_table(std::size_t size = 3'000) {
   net::TableGenConfig config;
-  config.size = 3'000;
+  config.size = size;
   config.seed = 701;
   return net::generate_table(config);
+}
+
+// FNV-1a over each update's kind, prefix address and length, and hop.
+std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+std::uint64_t fnv_mix(std::uint64_t hash, net::Ipv4Addr addr) {
+  return fnv_mix(hash, std::uint64_t{addr.value()});
+}
+std::uint64_t fnv_mix(std::uint64_t hash, const net::Ipv6Addr& addr) {
+  return fnv_mix(fnv_mix(hash, addr.hi()), addr.lo());
+}
+
+template <typename Addr>
+std::uint64_t stream_digest(const std::vector<net::BasicTableUpdate<Addr>>& updates) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& update : updates) {
+    hash = fnv_mix(hash, static_cast<std::uint64_t>(update.kind));
+    hash = fnv_mix(hash, update.prefix.address());
+    hash = fnv_mix(hash, static_cast<std::uint64_t>(update.prefix.length()));
+    hash = fnv_mix(hash, std::uint64_t{update.next_hop});
+  }
+  return hash;
+}
+
+/// 5,000 updates at the given mix, seed 43.
+UpdateStreamConfig pinned_config(double announce, double withdraw) {
+  UpdateStreamConfig config;
+  config.count = 5'000;
+  config.seed = 43;
+  config.announce_fraction = announce;
+  config.withdraw_fraction = withdraw;
+  return config;
 }
 
 TEST(UpdateStream, DeterministicPerSeed) {
@@ -184,13 +226,78 @@ TEST(UpdateStream, AnnouncedLengthsFollowTableModel) {
             5);
 }
 
+// The exact draws: digests of the streams as first generated, so a change
+// to any announce, withdrawal or hop changes them. On the 50-prefix table
+// at 0.25/0.5 most withdrawals name prefixes the stream itself announced.
+TEST(UpdateStream, DrawsArePinned) {
+  EXPECT_EQ(stream_digest(net::generate_update_stream(
+                base_table(), pinned_config(0.25, 0.25))),
+            0x9bddf9e65e821dc8ULL);
+  EXPECT_EQ(stream_digest(net::generate_update_stream(
+                base_table(50), pinned_config(0.25, 0.5))),
+            0xa1fc3deaedcc44c7ULL);
+}
+
+// A withdrawn prefix of the initial table is no longer in the table, so the
+// stream may announce it again. Over a table of every /16, one announce in
+// about thirteen draws a /16, and it is new only if the stream withdrew it.
+TEST(UpdateStream, ReannouncesWithdrawnInitialPrefixes) {
+  std::vector<net::RouteEntry> entries;
+  for (std::uint32_t high = 0; high < (1u << 16); ++high) {
+    entries.push_back({net::Prefix(net::Ipv4Addr{high << 16}, 16), 0});
+  }
+  RouteTable table(std::move(entries));
+  const RouteTable initial = table;
+  std::size_t reannounced = 0;
+  for (const TableUpdate& update :
+       net::generate_update_stream(initial, pinned_config(0.5, 0.5))) {
+    if (update.kind == UpdateKind::kAnnounce) {
+      ASSERT_FALSE(table.find(update.prefix).has_value())
+          << update.prefix.to_string();
+      if (initial.find(update.prefix).has_value()) ++reannounced;
+    } else {
+      ASSERT_TRUE(table.find(update.prefix).has_value())
+          << update.prefix.to_string();
+    }
+    net::apply_update(table, update);
+  }
+  EXPECT_GT(reannounced, 0u);
+}
+
+// A mix the generator cannot draw as given is rejected: a pair summing
+// above 1 would silently drop hop changes and cut withdrawals, and a
+// negative or NaN fraction would be used as is.
+TEST(UpdateStream, RejectsAMixItCannotDraw) {
+  const RouteTable table = base_table(50);
+  const auto generate = [&](double announce, double withdraw) {
+    UpdateStreamConfig config = pinned_config(announce, withdraw);
+    config.count = 100;
+    return net::generate_update_stream(table, config);
+  };
+  EXPECT_THROW(generate(0.8, 0.5), std::invalid_argument);
+  EXPECT_THROW(generate(-0.1, 0.2), std::invalid_argument);
+  EXPECT_THROW(generate(std::nan(""), 0.0), std::invalid_argument);
+  EXPECT_NO_THROW(generate(1.0, 0.0));
+  EXPECT_NO_THROW(generate(0.0, 1.0));
+  EXPECT_NO_THROW(generate(0.25, 0.25));
+}
+
 // --- IPv6 stream ---------------------------------------------------------
 
-net::RouteTable6 base_table6() {
+net::RouteTable6 base_table6(std::size_t size = 3'000) {
   net::TableGen6Config config;
-  config.size = 3'000;
+  config.size = size;
   config.seed = 709;
   return net::generate_table6(config);
+}
+
+TEST(UpdateStream6, DrawsArePinned) {
+  EXPECT_EQ(stream_digest(net::generate_update_stream(
+                base_table6(), pinned_config(0.25, 0.25))),
+            0x07717c1316f30d9fULL);
+  EXPECT_EQ(stream_digest(net::generate_update_stream(
+                base_table6(50), pinned_config(0.25, 0.5))),
+            0x064960d412ce5f7fULL);
 }
 
 TEST(UpdateStream6, DeterministicPerSeed) {
