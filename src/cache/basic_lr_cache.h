@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cache/lr_cache_stats.h"
 #include "net/ip_addr.h"
 #include "net/route_table.h"
 
@@ -52,52 +53,6 @@ enum class ProbeState : std::uint8_t {
 struct ProbeResult {
   ProbeState state = ProbeState::kMiss;
   net::NextHop next_hop = net::kNoRoute;
-};
-
-struct LrCacheStats {
-  std::uint64_t probes = 0;
-  std::uint64_t hits = 0;          ///< completed-block hits (incl. victim hits)
-  std::uint64_t loc_hits = 0;      ///< hits on M=LOC blocks (hits = loc + rem)
-  std::uint64_t rem_hits = 0;      ///< hits on M=REM blocks
-  std::uint64_t victim_hits = 0;   ///< subset of hits served by the victim cache
-  std::uint64_t waiting_hits = 0;  ///< probes that matched a W=1 block
-  std::uint64_t misses = 0;
-  std::uint64_t reservations = 0;
-  std::uint64_t failed_reservations = 0;  ///< quota full of waiting blocks
-  std::uint64_t quota_bypasses = 0;       ///< origin has zero ways (not cached)
-  std::uint64_t failed_promotions = 0;    ///< victim hit kept in victim cache
-  std::uint64_t fills = 0;
-  std::uint64_t orphan_fills = 0;  ///< reply arrived after flush removed block
-  std::uint64_t cancelled_reservations = 0;  ///< W=1 blocks reclaimed on timeout
-  std::uint64_t evictions = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t invalidated_blocks = 0;  ///< blocks dropped by invalidate_matching
-
-  double hit_rate() const {
-    return probes == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(probes);
-  }
-
-  void accumulate(const LrCacheStats& other) {
-    probes += other.probes;
-    hits += other.hits;
-    loc_hits += other.loc_hits;
-    rem_hits += other.rem_hits;
-    victim_hits += other.victim_hits;
-    waiting_hits += other.waiting_hits;
-    misses += other.misses;
-    reservations += other.reservations;
-    failed_reservations += other.failed_reservations;
-    quota_bypasses += other.quota_bypasses;
-    failed_promotions += other.failed_promotions;
-    fills += other.fills;
-    orphan_fills += other.orphan_fills;
-    cancelled_reservations += other.cancelled_reservations;
-    evictions += other.evictions;
-    flushes += other.flushes;
-    invalidated_blocks += other.invalidated_blocks;
-  }
-
-  friend bool operator==(const LrCacheStats&, const LrCacheStats&) = default;
 };
 
 /// Set-index source bits per address family.

@@ -87,13 +87,19 @@ int fabric_stages(int ports, int radix);
 /// End-to-end traversal latency in cycles for the configured fabric.
 double fabric_latency_cycles(const FabricConfig& config);
 
-/// Per-port occupancy and queueing breakdown (one entry per LC port).
+/// Per-port occupancy and queueing breakdown (one entry per LC port), one
+/// X(name) per counter in report order; the JSON key is the name.
+#define SPAL_FABRIC_PORT_COUNTERS(X)                                         \
+  X(sent)                 /* messages injected at this port */               \
+  X(received)             /* messages delivered to this port */              \
+  X(egress_queue_cycles)  /* injection serialization waits */                \
+  X(ingress_queue_cycles) /* delivery serialization waits */                 \
+  X(dropped)              /* injections lost (src attribution) */
+
 struct FabricPortStats {
-  std::uint64_t sent = 0;                  ///< messages injected at this port
-  std::uint64_t received = 0;              ///< messages delivered to this port
-  std::uint64_t egress_queue_cycles = 0;   ///< injection serialization waits
-  std::uint64_t ingress_queue_cycles = 0;  ///< delivery serialization waits
-  std::uint64_t dropped = 0;               ///< injections lost (src attribution)
+#define SPAL_COUNTER_MEMBER(name) std::uint64_t name = 0;
+  SPAL_FABRIC_PORT_COUNTERS(SPAL_COUNTER_MEMBER)
+#undef SPAL_COUNTER_MEMBER
 };
 
 struct FabricStats {
