@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
         result.mean_lookup_cycles(),
         static_cast<unsigned long long>(result.latency.percentile(0.99)),
         result.cache_total.hit_rate(),
-        static_cast<unsigned long long>(result.fault.drops),
+        static_cast<unsigned long long>(result.fabric.dropped),
         static_cast<unsigned long long>(result.fault.retransmits),
         static_cast<unsigned long long>(result.fault.timeouts),
         static_cast<unsigned long long>(result.fault.duplicate_replies),

@@ -47,7 +47,6 @@ struct BenchArgs {
   std::uint64_t outage_cycles = 0;
   bool outage_set = false;
   int max_retries = 3;
-  bool max_retries_set = false;
   /// Live route-update knobs (bench_update): --update-rate=N injects N
   /// updates per million cycles, --update-seed=N seeds the stream,
   /// --trie=dp|lulea|lc|stride|gupta|binary picks the FE structure,
@@ -55,7 +54,6 @@ struct BenchArgs {
   std::uint64_t update_rate = 0;  ///< updates per 1M cycles
   bool update_rate_set = false;
   std::uint64_t update_seed = 7;
-  bool update_seed_set = false;
   trie::TrieKind trie = trie::TrieKind::kLulea;
   bool trie_set = false;
   bool verify = false;
@@ -64,7 +62,6 @@ struct BenchArgs {
   /// it also overrides a SPAL_SIMD env setting). Unknown levels exit 2.
   /// Requests above the CPU's capability clamp to the detected level with a
   /// warning, exactly like the env variable.
-  trie::SimdMode simd = trie::SimdMode::kAuto;
   bool simd_set = false;
   /// --table-size=N: target prefix count for the internet-scale bench
   /// (bench_scale; 0 = the bench's default, the ~1M-route modern DFZ).
@@ -80,7 +77,6 @@ struct BenchArgs {
   int replicas = 0;
   bool replicas_set = false;
   int suspect_after = 2;
-  bool suspect_after_set = false;
   int migrate_from = -1;
   int migrate_to = -1;
   bool migrate_set = false;
@@ -127,13 +123,11 @@ struct BenchArgs {
           usage_error(nullptr);
         }
         args.max_retries = static_cast<int>(retries);
-        args.max_retries_set = true;
       } else if (std::strncmp(arg, "--update-rate=", 14) == 0) {
         args.update_rate = parse_nonnegative(arg + 14, "--update-rate");
         args.update_rate_set = true;
       } else if (std::strncmp(arg, "--update-seed=", 14) == 0) {
         args.update_seed = parse_nonnegative(arg + 14, "--update-seed");
-        args.update_seed_set = true;
       } else if (std::strncmp(arg, "--trie=", 7) == 0) {
         const auto kind = trie::trie_kind_from_string(arg + 7);
         if (!kind.has_value()) {
@@ -152,7 +146,6 @@ struct BenchArgs {
                        arg + 7);
           usage_error(nullptr);
         }
-        args.simd = *mode;
         args.simd_set = true;
         trie::set_simd_mode(*mode);
       } else if (std::strncmp(arg, "--table-size=", 13) == 0) {
@@ -175,7 +168,6 @@ struct BenchArgs {
           usage_error(nullptr);
         }
         args.suspect_after = static_cast<int>(streak);
-        args.suspect_after_set = true;
       } else if (std::strncmp(arg, "--migrate=", 10) == 0) {
         parse_migrate(arg + 10, args);
         args.migrate_set = true;

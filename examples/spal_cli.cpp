@@ -156,9 +156,10 @@ void print_report(const core::RouterResult& result, int psi, bool use_cache,
     }
     std::cout << "\n";
   }
-  if (result.updates_applied > 0) {
-    std::cout << "table updates:       " << result.updates_applied
-              << " (blocks invalidated " << result.blocks_invalidated << ")\n";
+  if (result.update.applied > 0) {
+    std::cout << "table updates:       " << result.update.applied
+              << " (blocks invalidated " << result.update.blocks_invalidated
+              << ", cache flushes " << result.update.cache_flushes << ")\n";
   }
   if (verify) {
     std::cout << "oracle mismatches:   " << result.verify_mismatches
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
   config.seed = parse_uint("--seed", args.value("--seed").value_or("42"));
   config.partition = !args.has("--no-partition");
   config.use_lr_cache = !args.has("--no-cache");
-  config.flush_interval_cycles = parse_uint(
+  config.update.interval_cycles = parse_uint(
       "--update-interval", args.value("--update-interval").value_or("0"));
   if (args.has("--selective-invalidate")) {
     config.update_policy = core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;

@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <random>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -267,8 +266,6 @@ class BasicRouterSim {
                     std::vector<std::uint64_t>(
                         static_cast<std::size_t>(std::max(1, config_.fe_parallelism)), 0));
     fe_busy_.assign(static_cast<std::size_t>(config_.num_lcs), 0);
-    next_flush_ = config_.flush_interval_cycles;
-    update_rng_.seed(config_.seed ^ 0x0badf00dULL);
     request_seq_.assign(static_cast<std::size_t>(config_.num_lcs), 0);
     send_seq_.assign(static_cast<std::size_t>(config_.num_lcs), 0);
     // A prior run's live updates mutated the residents / oracle: rebuild
@@ -452,10 +449,6 @@ class BasicRouterSim {
       result_.cache_total.accumulate(caches_[lc]->stats());
     }
     result_.fabric = fabric_->stats();
-    result_.fault.drops = result_.fabric.dropped;
-    result_.fault.outage_drops = result_.fabric.outage_dropped;
-    result_.fault.jitter_events = result_.fabric.jitter_events;
-    result_.fault.jitter_cycles = result_.fabric.jitter_cycles;
     if (result_.makespan_cycles > 0) {
       const double capacity =
           static_cast<double>(result_.makespan_cycles) *
@@ -519,6 +512,19 @@ class BasicRouterSim {
   }
 
  private:
+  // FE cycles the model charges for work outside the lookup flow.
+  /// The degraded slow path: an unpartitioned full-table LPM at the arrival
+  /// LC, costed like the paper's conventional router (the 62-cycle DP-trie
+  /// FE time it quotes).
+  static constexpr std::uint64_t kDegradedServiceCycles = 62;
+  /// An incremental trie insert or remove walks the DP lookup path once.
+  static constexpr std::uint64_t kIncrementalUpdateCycles = 62;
+  /// An epoch rebuild of a table of `entries` prefixes: 1,000 cycles plus a
+  /// quarter cycle per entry (integer math, deterministic).
+  static std::uint64_t rebuild_cycles(std::size_t entries) {
+    return 1'000 + std::uint64_t{entries} * 250 / 1'000;
+  }
+
   struct Requester {
     int lc;               ///< LC the requesting packet arrived at
     std::int64_t packet;  ///< global packet id
@@ -767,7 +773,6 @@ class BasicRouterSim {
         pending_.find(event.requester.seq) == pending_.end()) {
       return;
     }
-    if (config_.flush_interval_cycles != 0) maybe_update_table(now);
     result_.makespan_cycles = std::max(result_.makespan_cycles, now);
     switch (event.type) {
       case Event::Type::kLookup: handle_lookup(now, event); break;
@@ -1246,9 +1251,7 @@ class BasicRouterSim {
       }
     }
     const net::NextHop hop = oracle_->lookup(addr);
-    const std::uint64_t done =
-        now + static_cast<std::uint64_t>(
-                  std::max(1, config_.recovery.degraded_service_cycles));
+    const std::uint64_t done = now + kDegradedServiceCycles;
     for (const Requester& r : take_waiters(lc, addr)) {
       queue_.schedule(done,
                       Event{Event::Type::kDegraded, lc, addr, r, false, hop});
@@ -1264,26 +1267,6 @@ class BasicRouterSim {
     }
   }
 
-  void maybe_update_table(std::uint64_t now) {
-    if (config_.flush_interval_cycles == 0) return;
-    while (now >= next_flush_) {
-      if (config_.update_policy == RouterConfig::UpdatePolicy::kFlushAll ||
-          full_table_.empty()) {
-        for (const auto& c : caches_) c->flush();
-      } else {
-        // One incremental update: an existing prefix is re-announced and
-        // only the addresses it covers are invalidated.
-        const auto& changed =
-            full_table_.entries()[update_rng_() % full_table_.size()].prefix;
-        for (const auto& c : caches_) {
-          result_.blocks_invalidated += c->invalidate_matching(changed);
-        }
-      }
-      ++result_.updates_applied;
-      next_flush_ += config_.flush_interval_cycles;
-    }
-  }
-
   // ----- Live route-update pipeline ---------------------------------------
 
   /// Injection of update i at the control plane (modelled at LC 0's fabric
@@ -1293,7 +1276,6 @@ class BasicRouterSim {
     const auto index = static_cast<std::size_t>(event.requester.packet);
     const auto& update = updates_[index];
     ++result_.update.applied;
-    ++result_.updates_applied;
     switch (update.kind) {
       case net::UpdateKind::kAnnounce: ++result_.update.announces; break;
       case net::UpdateKind::kWithdraw: ++result_.update.withdraws; break;
@@ -1449,12 +1431,10 @@ class BasicRouterSim {
     std::uint64_t cost = 0;
     if (incremental) {
       ++result_.update.fe_incremental;
-      cost = config_.update.incremental_cost_cycles;
+      cost = kIncrementalUpdateCycles;
     } else {
       ++result_.update.fe_rebuilds;
-      cost = config_.update.rebuild_base_cycles +
-             res.table->size() * config_.update.rebuild_millicycles_per_entry /
-                 1000;
+      cost = rebuild_cycles(res.table->size());
     }
     for (auto& server : fe_free_[static_cast<std::size_t>(lc)]) {
       server = std::max(server, now) + cost;
@@ -1496,9 +1476,8 @@ class BasicRouterSim {
   void invalidate_cache(int lc, const Update& update) {
     Cache& cache = *caches_[static_cast<std::size_t>(lc)];
     if (config_.update_policy == RouterConfig::UpdatePolicy::kSelectiveInvalidate) {
-      const std::size_t dropped = cache.invalidate_matching(update.prefix);
-      result_.blocks_invalidated += dropped;
-      result_.update.blocks_invalidated += dropped;
+      result_.update.blocks_invalidated +=
+          cache.invalidate_matching(update.prefix);
     } else {
       cache.flush();
       ++result_.update.cache_flushes;
@@ -1849,9 +1828,7 @@ class BasicRouterSim {
     migration_.buffered_deltas.clear();
     // The staged build is management-plane work: it delays the cutover,
     // not the serving FE servers. Price it like an epoch rebuild.
-    const std::uint64_t build =
-        config_.update.rebuild_base_cycles +
-        table->size() * config_.update.rebuild_millicycles_per_entry / 1000;
+    const std::uint64_t build = rebuild_cycles(table->size());
     // The built structure joins the target's residents now; it starts
     // serving at the cutover.
     auto fe = Family::build_fe(*table, config_);
@@ -1946,11 +1923,9 @@ class BasicRouterSim {
   /// LOC/REM quota classes and staleness guarantees both moved).
   void invalidate_for_migration(int lc, int frag) {
     if (caches_.empty()) return;
-    const std::size_t dropped =
+    result_.failover.migration_invalidated_blocks +=
         caches_[static_cast<std::size_t>(lc)]->invalidate_if(
             [&](const Addr& addr) { return rot_->home_of(addr) == frag; });
-    result_.blocks_invalidated += dropped;
-    result_.failover.migration_invalidated_blocks += dropped;
   }
 
   // --- Online load rebalancer: skew detection + autonomous migration.
@@ -2148,8 +2123,6 @@ class BasicRouterSim {
   std::vector<std::size_t> lc_first_packet_;  // per LC + 1: first packet id
   sim::ArrivalLane lane_;     // each packet's first kLookup
   std::uint64_t arrival_seq_ = 0;  // queue seq of packet 0's arrival
-  std::uint64_t next_flush_ = 0;
-  std::mt19937_64 update_rng_;
   // Live-update pipeline state. oracle_dirty_ makes run() rebuild the
   // oracle a prior run's updates mutated.
   std::vector<Update> updates_;

@@ -26,7 +26,6 @@
 #include "core/router_sim.h"
 #include "core/router_sim6.h"
 #include "fabric/fabric.h"
-#include "fabric/queues.h"
 #include "net/ip_addr.h"
 #include "net/prefix.h"
 #include "net/route_table.h"

@@ -51,15 +51,17 @@ core::RouterConfig random_config(std::mt19937_64& rng) {
   config.partition = (rng() % 4) != 0;
   config.use_lr_cache = (rng() % 4) != 0;
   config.early_reservation = (rng() % 4) != 0;
+  // Live route updates at the default count and seed, under either
+  // invalidation policy (the block below may redraw them all).
   if (rng() % 3 == 0) {
-    config.flush_interval_cycles = 500 + rng() % 5'000;
+    config.update.interval_cycles = 500 + rng() % 5'000;
     config.update_policy =
         (rng() % 2) ? core::RouterConfig::UpdatePolicy::kSelectiveInvalidate
                     : core::RouterConfig::UpdatePolicy::kFlushAll;
   }
   config.packets_per_lc = 1'500;
   config.seed = rng();
-  // Live route updates, under either invalidation policy.
+  // Live route updates at a drawn count and seed, under either policy.
   if (rng() % 2 == 0) {
     config.update.interval_cycles = 500 + rng() % 4'000;
     config.update.count = 20 + rng() % 100;

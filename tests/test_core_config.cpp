@@ -23,7 +23,6 @@ TEST(ConfigFactories, SpalDefaultsMatchThePaper) {
   EXPECT_TRUE(config.partition);
   EXPECT_TRUE(config.use_lr_cache);
   EXPECT_TRUE(config.early_reservation);
-  EXPECT_EQ(config.flush_interval_cycles, 0u);
 }
 
 TEST(ConfigFactories, ConventionalDisablesBothMechanisms) {

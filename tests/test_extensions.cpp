@@ -113,7 +113,8 @@ TEST(UpdatePolicy, SelectiveKeepsHitRateUnderFrequentUpdates) {
   profile.flows = 2'000;
   core::RouterConfig flush_config = core::spal_default_config(2);
   flush_config.packets_per_lc = 10'000;
-  flush_config.flush_interval_cycles = 2'000;
+  flush_config.trie = trie::TrieKind::kDp;
+  flush_config.update.interval_cycles = 2'000;
   core::RouterConfig selective_config = flush_config;
   selective_config.update_policy =
       core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;
@@ -126,8 +127,8 @@ TEST(UpdatePolicy, SelectiveKeepsHitRateUnderFrequentUpdates) {
   EXPECT_EQ(selective_result.verify_mismatches, 0u);
   EXPECT_GT(selective_result.cache_total.hit_rate(),
             flush_result.cache_total.hit_rate());
-  EXPECT_GT(selective_result.updates_applied, 0u);
-  EXPECT_EQ(selective_result.updates_applied, flush_result.updates_applied);
+  EXPECT_GT(selective_result.update.applied, 0u);
+  EXPECT_EQ(selective_result.update.applied, flush_result.update.applied);
 }
 
 // --- FE parallelism ---

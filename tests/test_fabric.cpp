@@ -1,5 +1,4 @@
 #include "fabric/fabric.h"
-#include "fabric/queues.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 namespace {
 
 using namespace spal;
-using fabric::BoundedQueue;
 using fabric::Delivery;
 using fabric::Egress;
 using fabric::Fabric;
@@ -356,52 +354,6 @@ TEST(FabricFaults, PerSourcePortRngStreamsAreIndependent) {
     (void)mixed.try_deliver(2, 3, now);  // interleaved second source
     EXPECT_EQ(mixed.try_deliver(0, 1, now).delivered, expected);
   }
-}
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> queue;
-  queue.push(1);
-  queue.push(2);
-  queue.push(3);
-  EXPECT_EQ(queue.pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.pop(), std::optional<int>(3));
-  EXPECT_EQ(queue.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, CapacityRejectsOverflow) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_FALSE(queue.push(3));
-  EXPECT_EQ(queue.stats().rejected, 1u);
-  (void)queue.pop();
-  EXPECT_TRUE(queue.push(3));
-}
-
-TEST(BoundedQueue, UnboundedByDefault) {
-  BoundedQueue<int> queue;
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(queue.push(i));
-  EXPECT_EQ(queue.size(), 1000u);
-}
-
-TEST(BoundedQueue, StatsTrackOccupancy) {
-  BoundedQueue<int> queue;
-  queue.push(1);
-  queue.push(2);
-  (void)queue.pop();
-  queue.push(3);
-  const auto& stats = queue.stats();
-  EXPECT_EQ(stats.enqueued, 3u);
-  EXPECT_EQ(stats.dequeued, 1u);
-  EXPECT_EQ(stats.max_occupancy, 2u);
-}
-
-TEST(BoundedQueue, FrontThrowsWhenEmpty) {
-  BoundedQueue<int> queue;
-  EXPECT_THROW(queue.front(), std::out_of_range);
-  queue.push(5);
-  EXPECT_EQ(queue.front(), 5);
 }
 
 TEST(FaultConfigOutage, OutageCyclesMergesOverlappingWindows) {

@@ -48,9 +48,9 @@ void expect_conserved(const RouterResult& result, std::uint64_t injected) {
   EXPECT_EQ(result.latency.count(), injected);
   EXPECT_EQ(result.fault.timeouts,
             result.fault.retransmits + result.fault.degraded_fallbacks);
-  EXPECT_LE(result.fault.drops,
+  EXPECT_LE(result.fabric.dropped,
             result.fault.retransmits + result.fault.degraded_fallbacks);
-  EXPECT_LE(result.fault.outage_drops, result.fault.drops);
+  EXPECT_LE(result.fabric.outage_dropped, result.fabric.dropped);
   EXPECT_GE(result.fault.degraded_lookups, result.fault.degraded_fallbacks);
   EXPECT_EQ(result.fault.reclaimed_waiting_blocks,
             result.cache_total.cancelled_reservations);
@@ -87,7 +87,7 @@ TEST(FaultRecovery, ModerateDropsRecoverByRetransmission) {
   const RouterResult result =
       router.run_workload(small_profile(), /*verify=*/true);
   expect_conserved(result, 4 * config.packets_per_lc);
-  EXPECT_GT(result.fault.drops, 0u);
+  EXPECT_GT(result.fabric.dropped, 0u);
   EXPECT_GT(result.fault.retransmits, 0u);
 }
 
@@ -106,8 +106,8 @@ TEST(FaultRecovery, TotalLossDegradesEveryRemoteLookup) {
   EXPECT_GT(result.fault.degraded_fallbacks, 0u);
   EXPECT_EQ(result.remote_replies, 0u);  // nothing ever got through
   // Every attempt was dropped, so the ledger balances exactly.
-  EXPECT_EQ(result.fault.drops, result.remote_requests);
-  EXPECT_EQ(result.fault.drops,
+  EXPECT_EQ(result.fabric.dropped, result.remote_requests);
+  EXPECT_EQ(result.fabric.dropped,
             result.fault.retransmits + result.fault.degraded_fallbacks);
   EXPECT_EQ(result.fabric.messages, 0u);
 }
@@ -127,7 +127,7 @@ TEST(FaultRecovery, DeadLineCardIsSurvivedInDegradedMode) {
   const RouterResult result =
       router.run_workload(small_profile(), /*verify=*/true);
   expect_conserved(result, 4 * config.packets_per_lc);
-  EXPECT_GT(result.fault.outage_drops, 0u);
+  EXPECT_GT(result.fabric.outage_dropped, 0u);
   EXPECT_GT(result.fault.degraded_lookups, 0u);
   EXPECT_GT(result.fault.per_lc_outage_cycles[1], 0u);
   EXPECT_EQ(result.fault.per_lc_outage_cycles[0], 0u);
@@ -162,8 +162,8 @@ TEST(FaultRecovery, SeededFaultRunsAreReproducible) {
   const RouterResult a = router.run_workload(small_profile(), /*verify=*/true);
   const RouterResult b = router.run_workload(small_profile(), /*verify=*/true);
   EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_GT(a.fault.drops, 0u);
-  EXPECT_GT(a.fault.jitter_events, 0u);
+  EXPECT_GT(a.fabric.dropped, 0u);
+  EXPECT_GT(a.fabric.jitter_events, 0u);
 }
 
 TEST(FaultRecovery, JitterAloneNeverLosesPackets) {
@@ -175,8 +175,8 @@ TEST(FaultRecovery, JitterAloneNeverLosesPackets) {
   const RouterResult result =
       router.run_workload(small_profile(), /*verify=*/true);
   expect_conserved(result, 4 * config.packets_per_lc);
-  EXPECT_GT(result.fault.jitter_events, 0u);
-  EXPECT_EQ(result.fault.drops, 0u);
+  EXPECT_GT(result.fabric.jitter_events, 0u);
+  EXPECT_EQ(result.fabric.dropped, 0u);
   EXPECT_EQ(result.fault.degraded_fallbacks, 0u);
 }
 
@@ -249,7 +249,7 @@ TEST(FaultRecovery6, Ipv6RouterSurvivesDropsAndOutage) {
   RouterSim6 router(table, config);
   const RouterResult result = router.run_workload(profile, /*verify=*/true);
   expect_conserved(result, 4 * config.packets_per_lc);
-  EXPECT_GT(result.fault.outage_drops, 0u);
+  EXPECT_GT(result.fabric.outage_dropped, 0u);
   EXPECT_GT(result.fault.degraded_lookups, 0u);
   EXPECT_GT(result.fault.retransmits, 0u);
 }

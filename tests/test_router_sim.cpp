@@ -269,8 +269,11 @@ TEST(RouterSim, EarlyReservationSuppressesDuplicateFeWork) {
 }
 
 TEST(RouterSim, FlushIntervalForcesColdRestarts) {
+  // One live update every 2,000 cycles, each flushing every LR-cache (the
+  // default flush-all policy). The DP trie applies each in place.
   RouterConfig config = small_config(2);
-  config.flush_interval_cycles = 2'000;
+  config.trie = trie::TrieKind::kDp;
+  config.update.interval_cycles = 2'000;
   RouterSim router(small_table(), config);
   const RouterResult result = router.run_workload(small_profile(), true);
   EXPECT_GT(result.cache_total.flushes, 0u);
@@ -280,8 +283,9 @@ TEST(RouterSim, FlushIntervalForcesColdRestarts) {
 
 TEST(RouterSim, FlushingLowersHitRate) {
   RouterConfig steady = small_config(2);
-  RouterConfig flushy = small_config(2);
-  flushy.flush_interval_cycles = 1'000;
+  steady.trie = trie::TrieKind::kDp;
+  RouterConfig flushy = steady;
+  flushy.update.interval_cycles = 1'000;
   const net::RouteTable table = small_table();
   RouterSim steady_router(table, steady);
   RouterSim flushy_router(table, flushy);

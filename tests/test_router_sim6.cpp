@@ -133,13 +133,18 @@ TEST(RouterSim6, PerLcStorageShrinks) {
 }
 
 TEST(RouterSim6, FlushAndSelectiveInvalidationWork) {
-  core::RouterConfig config = v6_config(2);
-  config.flush_interval_cycles = 2'000;
-  config.update_policy = core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;
-  core::RouterSim6 router(v6_table(), config);
-  const auto result = router.run_workload(v6_profile(), true);
-  EXPECT_EQ(result.verify_mismatches, 0u);
-  EXPECT_GT(result.updates_applied, 0u);
+  for (const auto policy :
+       {core::RouterConfig::UpdatePolicy::kFlushAll,
+        core::RouterConfig::UpdatePolicy::kSelectiveInvalidate}) {
+    core::RouterConfig config = v6_config(2);
+    config.update.interval_cycles = 2'000;
+    config.update_policy = policy;
+    core::RouterSim6 router(v6_table(), config);
+    const auto result = router.run_workload(v6_profile(), true);
+    EXPECT_EQ(result.verify_mismatches, 0u);
+    EXPECT_EQ(result.resolved_packets, 2u * 3'000u);
+    EXPECT_GT(result.update.applied, 0u);
+  }
 }
 
 TEST(TraceGen6, DeterministicSharedPopulation) {

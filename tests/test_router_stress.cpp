@@ -79,10 +79,12 @@ TEST(RouterStress, GammaOneNeverCachesLocal) {
 }
 
 TEST(RouterStress, FlushStormOrphansInFlightFills) {
-  // Flushing every 200 cycles guarantees some replies come back to a
-  // flushed cache (orphan fills) and some waiting lists outlive the block.
+  // A live update every 200 cycles under flush-all invalidation guarantees
+  // some replies come back to a flushed cache (orphan fills) and some
+  // waiting lists outlive the block.
   core::RouterConfig config = base_config(8);
-  config.flush_interval_cycles = 200;
+  config.trie = trie::TrieKind::kDp;
+  config.update.interval_cycles = 200;
   core::RouterSim router(stress_table(), config);
   const auto result = router.run_workload(bursty_profile(), true);
   EXPECT_EQ(result.verify_mismatches, 0u);
